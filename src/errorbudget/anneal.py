@@ -206,11 +206,18 @@ def acceptance_probability(delta_e: float, beta: float) -> float:
     """Metropolis acceptance: ``min(1, exp(-beta * delta_e))``; 1 for downhill."""
     if delta_e <= 0.0:
         return 1.0
+    if math.isnan(delta_e) or delta_e == math.inf:
+        return 0.0  # an overflowed or undefined objective is never accepted
     return min(1.0, math.exp(-beta * delta_e))
 
 
-def _clamp(value: float) -> float:
-    return min(max(value, EPSILON_FLOOR), EPSILON_CEILING)
+def _draw_move(theta: np.ndarray, delta: float, rng: np.random.Generator) -> tuple[int, float]:
+    """Draw index, direction and factor, in that order; return the moved entry."""
+    index = int(rng.random() * len(theta))
+    up = rng.random() < 0.5
+    factor = 1.0 + (1.0 - rng.random()) * delta
+    value = theta[index] * factor if up else theta[index] / factor
+    return index, min(max(value, EPSILON_FLOOR), EPSILON_CEILING)
 
 
 def propose(theta: np.ndarray, delta: float, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -221,11 +228,9 @@ def propose(theta: np.ndarray, delta: float, rng: np.random.Generator) -> tuple[
     clamped into the representable tolerance interval.  Consumes exactly three
     uniform draws so chains remain reproducible.
     """
-    index = int(rng.random() * len(theta))
-    up = rng.random() < 0.5
-    factor = 1.0 + (1.0 - rng.random()) * delta
+    index, value = _draw_move(theta, delta, rng)
     out = theta.copy()
-    out[index] = _clamp(out[index] * factor if up else out[index] / factor)
+    out[index] = value
     return out, index
 
 
@@ -264,7 +269,6 @@ def _run_chain(
 ) -> AnnealResult:
     rng = np.random.default_rng(seed)
     theta = theta_init.copy()
-    dimension = len(theta)
     cost, error = evaluator.reset(theta)
 
     best_theta: np.ndarray | None = None
@@ -296,7 +300,7 @@ def _run_chain(
 
     note_state(0)
     total_steps = config.num_steps if max_steps is None else max_steps
-    if dimension == 0:
+    if len(theta) == 0:
         total_steps = 0  # nothing to optimize
     d_beta = config.beta_max / config.num_steps
     beta = 0.0
@@ -306,12 +310,8 @@ def _run_chain(
         if stop_at_feasible and first_theta is not None:
             break
         steps_run += 1
-        # same draw discipline as propose(): index, direction, factor
-        index = int(rng.random() * dimension)
-        up = rng.random() < 0.5
-        factor = 1.0 + (1.0 - rng.random()) * delta
+        index, new_value = _draw_move(theta, delta, rng)
         old_value = theta[index]
-        new_value = _clamp(old_value * factor if up else old_value / factor)
         new_cost, new_error = evaluator.update(index, new_value)
         if error <= eps_target:
             mode = MODE_COST

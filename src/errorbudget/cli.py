@@ -56,22 +56,29 @@ def _add_anneal_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--restarts", type=int, help="independent chains, seeded seed, seed+1, ...")
 
 
-def _anneal_config(args: argparse.Namespace) -> AnnealConfig:
-    config = AnnealConfig.from_json(args.config) if args.config else AnnealConfig()
-    overrides = {}
-    if args.steps is not None:
-        overrides["num_steps"] = args.steps
-    if args.beta_max is not None:
-        overrides["beta_max"] = args.beta_max
-    if args.delta is not None:
-        overrides["delta"] = args.delta
+def _anneal_config(args: argparse.Namespace, default: AnnealConfig) -> AnnealConfig:
+    """``--config`` (else ``default``) with the flags applied on top.
+
+    An explicit ``--delta`` turns width tuning off unless ``--tune-delta`` is
+    also given.
+    """
+    config = AnnealConfig.from_json(args.config) if args.config else default
+    overrides = {
+        key: value
+        for key, value in (
+            ("num_steps", args.steps),
+            ("beta_max", args.beta_max),
+            ("delta", args.delta),
+            ("seed", args.seed),
+            ("restarts", args.restarts),
+        )
+        if value is not None
+    }
     if args.tune_delta:
         overrides["auto_delta"] = True
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
-    return replace(config, **overrides) if overrides else config
+    elif args.delta is not None:
+        overrides["auto_delta"] = False
+    return replace(config, **overrides)
 
 
 def _cmd_model_tfim(args: argparse.Namespace) -> int:
@@ -109,7 +116,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if args.epsilon <= 0:
         print(f"error target must be positive, got {args.epsilon}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    config = _anneal_config(args)
+    config = _anneal_config(args, AnnealConfig())
     if config.auto_delta:
         tuned = tune_delta(tree, binding, args.epsilon, config,
                            np.random.default_rng(config.seed))
@@ -140,25 +147,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         overrides["redundancies"] = tuple(int(x) for x in args.redundancies.split(","))
     spec = default_spec(kind, args.out, **overrides)
 
-    config = AnnealConfig.from_json(args.config) if args.config else spec.anneal
-    flag_overrides = {
-        key: value
-        for key, value in (
-            ("num_steps", args.steps),
-            ("beta_max", args.beta_max),
-            ("delta", args.delta),
-            ("seed", args.seed),
-            ("restarts", args.restarts),
-        )
-        if value is not None
-    }
-    if args.tune_delta:
-        flag_overrides["auto_delta"] = True
-    elif args.delta is not None:
-        flag_overrides["auto_delta"] = False  # explicit width wins over tuning
-    if flag_overrides or args.config:
-        config = replace(config, **flag_overrides)
-    spec = replace(spec, anneal=config)
+    spec = replace(spec, anneal=_anneal_config(args, spec.anneal))
 
     result = run_experiment(spec)
     print(f"wrote {result.csv_path} and {result.metadata_path}")

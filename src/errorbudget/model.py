@@ -12,8 +12,11 @@ Evaluating the tree at a tolerance assignment yields the total primitive gate
 count (:func:`total_cost`) and a composable upper bound on the overall
 operator-norm error (:func:`total_error`).  :func:`expand_flat` materialises
 the fully unrolled instance list and serves as the brute-force oracle for the
-recursive evaluators.  :class:`CompiledModel` is an array-form evaluator for
-the hot loops of the optimizer.
+recursive evaluators.  The optimizer's hot loops
+run over :class:`CompiledModel`, one node table compiled from the tree, with
+two passes over it: :meth:`CompiledModel.evaluate` evaluates batches of
+tolerance vectors, and :class:`ChainEvaluator` re-evaluates incrementally as a
+chain changes one tolerance entry at a time.
 
 Tolerance slots are plain string identifiers.  A :class:`ParameterBinding`
 partitions the slots appearing in a tree into named groups; the optimization
@@ -498,12 +501,28 @@ def expand_flat(
 
 
 class CompiledModel:
-    """Array-form evaluator of a validated tree/binding pair.
+    """Node table of a tree/binding pair, shared by the two fast evaluators.
 
-    Node data is flattened into numpy arrays grouped by depth so that a full
-    cost/error evaluation is a handful of vectorised operations.  ``theta``
-    may be a single vector of shape ``(P,)`` or a batch of shape ``(B, P)``;
-    single vectors return floats, batches return arrays.
+    Nodes are numbered in depth-first preorder, so every child has a larger
+    index than its parent and descending index order visits children before
+    parents.  For node ``i`` the table holds:
+
+    * ``children[i]``, the child indices, and the multiplicity of each edge as
+      ``edge_coeff[i]``, ``edge_nexp[i]`` (negated exponents) and
+      ``edge_ceil[i]``; constant multiplicities are stored already rounded,
+      and ``needs_eps[i]`` tells whether any edge depends on the node's own
+      tolerance;
+    * ``slot[i]``, the group of the node's own tolerance (a composite's
+      decomposition error or a leaf's synthesis tolerance), ``-1`` if none;
+    * ``is_leaf[i]``, ``leaf_count[i]``, ``leaf_gpl[i]`` and ``leaf_off[i]``,
+      the cost law of a leaf with gates; leaves without gates cost nothing,
+      err nothing and have no slot;
+    * per group ``k``, ``dirty[k]``: the nodes bound to ``k`` and their
+      ancestors, in descending index order.
+
+    :meth:`evaluate` is one children-first pass over the table, vectorised
+    over a batch; :class:`ChainEvaluator` repeats the pass incrementally,
+    over ``dirty[k]`` only.
     """
 
     def __init__(self, tree: BudgetNode, binding: ParameterBinding) -> None:
@@ -511,96 +530,84 @@ class CompiledModel:
         self.binding = binding
         slot_to_group = binding.slot_index()
         self.dimension = binding.dimension
-        dummy = self.dimension  # virtual theta column, used where no slot applies
 
         nodes: list[BudgetNode] = []
-        parent: list[int] = []
-        coeff: list[float] = []
-        nexp: list[float] = []
-        ceil_mask: list[bool] = []
-        parent_slot: list[int] = []
-        self_slot: list[int] = []
-        depth: list[int] = []
+        kids: list[list[int]] = []
+        ancestors: list[tuple[int, ...]] = []
 
-        def slot_of(node: BudgetNode) -> int:
-            if node.self_error_slot is None:
-                return -1
-            if node.self_error_slot not in slot_to_group:
-                raise ModelError(f"slot {node.self_error_slot!r} unbound in binding")
-            return slot_to_group[node.self_error_slot]
-
-        def visit(node: BudgetNode, parent_idx: int, mult: Multiplicity | None, d: int) -> None:
+        def visit(node: BudgetNode, path: tuple[int, ...]) -> None:
             idx = len(nodes)
             nodes.append(node)
-            parent.append(parent_idx)
-            depth.append(d)
-            self_slot.append(slot_of(node))
-            if mult is None:
-                coeff.append(1.0)
-                nexp.append(0.0)
-                ceil_mask.append(False)
-                parent_slot.append(dummy)
-            else:
-                coeff.append(float(mult.coefficient))
-                nexp.append(-float(mult.exponent))
-                ceil_mask.append(mult.rounding is Rounding.CEIL)
-                if mult.exponent != 0:
-                    ps = self_slot[parent_idx]
-                    if ps < 0:
-                        raise ModelError(
-                            f"multiplicity into {node.name!r} depends on the tolerance "
-                            f"of its parent, which has no slot"
-                        )
-                    parent_slot.append(ps)
-                else:
-                    parent_slot.append(dummy)
+            kids.append([])
+            ancestors.append(path)
+            for edge in node.children:
+                kids[idx].append(len(nodes))
+                visit(edge.node, path + (idx,))
+
+        visit(tree, ())
+
+        n = len(nodes)
+        self.n_nodes = n
+        self.children: list[np.ndarray] = []
+        self.edge_coeff: list[np.ndarray] = []
+        self.edge_nexp: list[np.ndarray] = []
+        self.edge_ceil: list[np.ndarray] = []
+        self.needs_eps: list[bool] = []
+        self.slot = np.full(n, -1, dtype=np.intp)
+        self.is_leaf = np.zeros(n, dtype=bool)
+        self.leaf_count = np.zeros(n)
+        self.leaf_gpl = np.zeros(n)
+        self.leaf_off = np.zeros(n)
+        dirty: list[set[int]] = [set() for _ in range(self.dimension)]
+        for i, node in enumerate(nodes):
+            group = -1
+            if node.self_error_slot is not None:
+                if node.self_error_slot not in slot_to_group:
+                    raise ModelError(f"slot {node.self_error_slot!r} unbound in binding")
+                group = slot_to_group[node.self_error_slot]
+            mults = [edge.multiplicity for edge in node.children]
+            needs_eps = any(m.exponent != 0 for m in mults)
+            if needs_eps and group < 0:
+                raise ModelError(
+                    f"multiplicities below {node.name!r} depend on its tolerance, "
+                    f"but it has no slot"
+                )
             if node.kind is NodeKind.LEAF:
                 if node.leaf_cost is None:
                     raise ModelError(f"leaf {node.name!r} has no cost form")
-                if node.leaf_cost.count > 0 and self_slot[idx] < 0:
-                    raise ModelError(f"leaf {node.name!r} has no bound tolerance slot")
-            for edge in node.children:
-                visit(edge.node, idx, edge.multiplicity, d + 1)
-
-        visit(tree, -1, None, 0)
-
-        n = len(nodes)
-        self._parent = np.asarray(parent, dtype=np.intp)
-        self._coeff = np.asarray(coeff, dtype=float)
-        self._nexp = np.asarray(nexp, dtype=float)
-        self._ceil = np.asarray(ceil_mask, dtype=bool)
-        self._parent_slot = np.asarray(parent_slot, dtype=np.intp)
-        depth_arr = np.asarray(depth, dtype=np.intp)
-        self._levels = [
-            np.flatnonzero(depth_arr == d) for d in range(1, int(depth_arr.max()) + 1)
-        ] if n > 1 else []
-        self._n_nodes = n
-
-        # Leaf slots are synthesis tolerances, accounted in the leaf block below;
-        # only composite self-errors enter as decomposition error terms.
-        selferr_idx = [
-            i for i in range(n) if self_slot[i] >= 0 and nodes[i].kind is NodeKind.COMPOSITE
-        ]
-        self._selferr_nodes = np.asarray(selferr_idx, dtype=np.intp)
-        self._selferr_slots = np.asarray([self_slot[i] for i in selferr_idx], dtype=np.intp)
-
-        leaf_idx = [
-            i for i in range(n)
-            if nodes[i].kind is NodeKind.LEAF and nodes[i].leaf_cost is not None
-            and nodes[i].leaf_cost.count > 0
-        ]
-        self._leaf_nodes = np.asarray(leaf_idx, dtype=np.intp)
-        self._leaf_slots = np.asarray([self_slot[i] for i in leaf_idx], dtype=np.intp)
-        self._leaf_count = np.asarray([nodes[i].leaf_cost.count for i in leaf_idx], dtype=float)
-        self._leaf_gpl = np.asarray(
-            [nodes[i].leaf_cost.gates_per_unit_logeps for i in leaf_idx], dtype=float
-        )
-        self._leaf_off = np.asarray(
-            [nodes[i].leaf_cost.additive_offset for i in leaf_idx], dtype=float
-        )
+                if node.children:
+                    raise ModelError(f"leaf {node.name!r} has children")
+                if node.leaf_cost.count > 0:
+                    if group < 0:
+                        raise ModelError(f"leaf {node.name!r} has no bound tolerance slot")
+                    self.is_leaf[i] = True
+                    self.leaf_count[i] = node.leaf_cost.count
+                    self.leaf_gpl[i] = node.leaf_cost.gates_per_unit_logeps
+                    self.leaf_off[i] = node.leaf_cost.additive_offset
+                else:
+                    group = -1
+            self.slot[i] = group
+            if group >= 0:
+                dirty[group].update(ancestors[i] + (i,))
+            self.children.append(np.asarray(kids[i], dtype=np.intp))
+            self.edge_coeff.append(np.asarray(
+                [m(None) if m.exponent == 0 else float(m.coefficient) for m in mults], dtype=float
+            ))
+            self.edge_nexp.append(np.asarray([-float(m.exponent) for m in mults], dtype=float))
+            self.edge_ceil.append(
+                np.asarray([m.rounding is Rounding.CEIL for m in mults], dtype=bool)
+            )
+            self.needs_eps.append(needs_eps)
+        self.dirty = [sorted(nodes_of_k, reverse=True) for nodes_of_k in dirty]
+        self.leaves = np.flatnonzero(self.is_leaf)
+        self.composites = [i for i in range(n - 1, -1, -1) if nodes[i].kind is NodeKind.COMPOSITE]
 
     def evaluate(self, theta: Sequence[float] | ToleranceVector | np.ndarray):
-        """Return ``(cost, error)`` at one tolerance vector or a batch of them."""
+        """Return ``(cost, error)`` at one tolerance vector or a batch of them.
+
+        ``theta`` may be a single vector of shape ``(P,)`` or a batch of shape
+        ``(B, P)``; single vectors return floats, batches return arrays.
+        """
         values = getattr(theta, "values", theta)
         arr = np.asarray(values, dtype=float)
         single = arr.ndim == 1
@@ -616,32 +623,34 @@ class CompiledModel:
         if np.any(arr <= 0.0) or np.any(arr >= 1.0):
             raise EvaluationError("tolerance entries must lie strictly inside (0, 1)")
 
-        b = arr.shape[0]
-        padded = np.concatenate([arr, np.full((b, 1), 0.5)], axis=1)
-        counts = np.empty((b, self._n_nodes))
-        counts[:, 0] = 1.0
-        for idx in self._levels:
-            m = self._coeff[idx] * padded[:, self._parent_slot[idx]] ** self._nexp[idx]
-            ceil = self._ceil[idx]
-            if ceil.any():
-                m = np.where(ceil, np.ceil(m), m)
-            counts[:, idx] = counts[:, self._parent[idx]] * m
-
-        error = np.zeros(b)
-        if self._selferr_nodes.size:
-            error += np.einsum(
-                "bi,bi->b", counts[:, self._selferr_nodes], padded[:, self._selferr_slots]
+        by_group = arr.T
+        cost = np.zeros((self.n_nodes, arr.shape[0]))
+        error = np.zeros_like(cost)
+        leaves = self.leaves
+        if leaves.size:
+            eps = by_group[self.slot[leaves]]
+            unit = np.maximum(
+                0.0,
+                self.leaf_gpl[leaves, None] * np.log2(1.0 / eps) + self.leaf_off[leaves, None],
             )
-        cost = np.zeros(b)
-        if self._leaf_nodes.size:
-            eps = padded[:, self._leaf_slots]
-            unit = np.maximum(0.0, self._leaf_gpl * np.log2(1.0 / eps) + self._leaf_off)
-            inst = counts[:, self._leaf_nodes] * self._leaf_count
-            cost += np.einsum("bi,bi->b", inst, unit)
-            error += np.einsum("bi,bi->b", inst, eps)
+            cost[leaves] = self.leaf_count[leaves, None] * unit
+            error[leaves] = self.leaf_count[leaves, None] * eps
+        for i in self.composites:
+            slot = self.slot[i]
+            children = self.children[i]
+            m = self.edge_coeff[i][:, None]
+            if self.needs_eps[i]:
+                m = m * by_group[slot] ** self.edge_nexp[i][:, None]
+                ceil = self.edge_ceil[i]
+                if ceil.any():
+                    m = np.where(ceil[:, None], np.ceil(m), m)
+            cost[i] = (m * cost[children]).sum(axis=0)
+            error[i] = (m * error[children]).sum(axis=0)
+            if slot >= 0:
+                error[i] += by_group[slot]
         if single:
-            return float(cost[0]), float(error[0])
-        return cost, error
+            return float(cost[0, 0]), float(error[0, 0])
+        return cost[0], error[0]
 
 
 def compile_model(tree: BudgetNode, binding: ParameterBinding) -> CompiledModel:
@@ -652,93 +661,48 @@ def compile_model(tree: BudgetNode, binding: ParameterBinding) -> CompiledModel:
 class ChainEvaluator:
     """Stateful evaluator for single-coordinate update chains.
 
-    Caches per-subtree cost/error aggregates; changing one tolerance entry
-    recomputes only the nodes bound to that slot and their ancestors, each
-    from its children's cached aggregates.  Because every touched node is
-    recomputed from scratch (never delta-adjusted), the cached totals are
-    always exactly what a fresh recursive evaluation would produce, and
-    reverting an update restores bit-identical state.
+    Caches per-node cost/error aggregates over a :class:`CompiledModel`'s node
+    table; changing tolerance entry ``k`` recomputes only the nodes in the
+    table's ``dirty[k]``, each from its children's cached aggregates.  Because
+    every touched node is recomputed from scratch (never delta-adjusted), the
+    cached totals are always exactly what a fresh evaluation would produce,
+    and reverting an update restores bit-identical state.
     """
 
     def __init__(self, compiled: CompiledModel) -> None:
         self._compiled = compiled
         self.dimension = compiled.dimension
-        n = compiled._n_nodes
-        self._n_nodes = n
-        parent = compiled._parent
-        self._children: list[np.ndarray] = [
-            np.flatnonzero(parent == i) for i in range(n)
-        ]
-        self._edge_coeff = [compiled._coeff[c] for c in self._children]
-        self._edge_nexp = [compiled._nexp[c] for c in self._children]
-        self._edge_ceil = [compiled._ceil[c] for c in self._children]
-        self._edge_needs_eps = [np.any(x != 0.0) for x in self._edge_nexp]
-
-        self._self_slot = np.full(n, -1, dtype=np.intp)
-        self._self_slot[compiled._selferr_nodes] = compiled._selferr_slots
-        self._is_leaf = np.zeros(n, dtype=bool)
-        self._leaf_slot = np.full(n, -1, dtype=np.intp)
-        self._leaf_count = np.zeros(n)
-        self._leaf_gpl = np.zeros(n)
-        self._leaf_off = np.zeros(n)
-        for pos, node in enumerate(compiled._leaf_nodes):
-            self._is_leaf[node] = True
-            self._leaf_slot[node] = compiled._leaf_slots[pos]
-            self._leaf_count[node] = compiled._leaf_count[pos]
-            self._leaf_gpl[node] = compiled._leaf_gpl[pos]
-            self._leaf_off[node] = compiled._leaf_off[pos]
-
-        depth = np.zeros(n, dtype=np.intp)
-        for i in range(1, n):
-            depth[i] = depth[parent[i]] + 1
-        self._recompute_order: list[np.ndarray] = []
-        for k in range(self.dimension):
-            dirty: set[int] = set()
-            for i in range(n):
-                if self._self_slot[i] == k or self._leaf_slot[i] == k:
-                    j = i
-                    while j >= 0 and j not in dirty:
-                        dirty.add(j)
-                        j = int(parent[j]) if j > 0 else -1
-            order = sorted(dirty, key=lambda i: -depth[i])
-            self._recompute_order.append(np.asarray(order, dtype=np.intp))
-
         self._theta = np.full(self.dimension, math.nan)
-        self._agg_cost = np.zeros(n)
-        self._agg_err = np.zeros(n)
-        self._full_order = [int(i) for i in np.argsort(-depth, kind="stable")]
-        self._order_lists = [[int(i) for i in order] for order in self._recompute_order]
+        self._agg_cost = np.zeros(compiled.n_nodes)
+        self._agg_err = np.zeros(compiled.n_nodes)
         # multiplicity vectors are functions of the node's own slot only;
         # cache them so updates of other slots skip the power evaluation
-        self._m_cache: list[np.ndarray | None] = [None] * n
-        for i in range(n):
-            if self._children[i].size and not self._edge_needs_eps[i]:
-                m = self._edge_coeff[i].copy()
-                ceil = self._edge_ceil[i]
-                if ceil.any():
-                    m = np.where(ceil, np.ceil(m), m)
-                self._m_cache[i] = m
+        self._m_cache: list[np.ndarray | None] = [
+            None if needs_eps else coeff
+            for coeff, needs_eps in zip(compiled.edge_coeff, compiled.needs_eps)
+        ]
 
     def _recompute(self, i: int, changed_slot: int) -> None:
-        children = self._children[i]
+        table = self._compiled
+        children = table.children[i]
         if children.size == 0:
-            if self._is_leaf[i]:
-                eps = self._theta[self._leaf_slot[i]]
-                unit = max(0.0, self._leaf_gpl[i] * math.log2(1.0 / eps) + self._leaf_off[i])
-                self._agg_cost[i] = self._leaf_count[i] * unit
-                self._agg_err[i] = self._leaf_count[i] * eps
+            if table.is_leaf[i]:
+                eps = self._theta[table.slot[i]]
+                unit = max(0.0, table.leaf_gpl[i] * math.log2(1.0 / eps) + table.leaf_off[i])
+                self._agg_cost[i] = table.leaf_count[i] * unit
+                self._agg_err[i] = table.leaf_count[i] * eps
             else:
                 # zero-count leaf or childless composite: cost-free, only a
                 # possible decomposition error of its own
-                slot = self._self_slot[i]
+                slot = table.slot[i]
                 self._agg_cost[i] = 0.0
                 self._agg_err[i] = self._theta[slot] if slot >= 0 else 0.0
             return
-        slot = self._self_slot[i]
+        slot = table.slot[i]
         m = self._m_cache[i]
-        if self._edge_needs_eps[i] and (m is None or slot == changed_slot):
-            m = self._edge_coeff[i] * self._theta[slot] ** self._edge_nexp[i]
-            ceil = self._edge_ceil[i]
+        if table.needs_eps[i] and (m is None or slot == changed_slot):
+            m = table.edge_coeff[i] * self._theta[slot] ** table.edge_nexp[i]
+            ceil = table.edge_ceil[i]
             if ceil.any():
                 m = np.where(ceil, np.ceil(m), m)
             self._m_cache[i] = m
@@ -755,14 +719,24 @@ class ChainEvaluator:
         self._agg_err[i] = err
 
     def reset(self, theta: np.ndarray) -> tuple[float, float]:
-        """Set the full tolerance vector and recompute everything."""
-        if np.any(theta <= 0.0) or np.any(theta >= 1.0):
-            raise EvaluationError("tolerance entries must lie strictly inside (0, 1)")
-        self._theta = np.asarray(theta, dtype=float).copy()
-        for i in range(self._n_nodes):
-            if self._edge_needs_eps[i]:
+        """Set the full tolerance vector and recompute everything.
+
+        Raises :class:`EvaluationError` naming the first entry of ``theta``
+        outside ``(0, 1)``; NaN and infinite entries count as outside.
+        """
+        theta = np.array(theta, dtype=float)
+        outside = np.flatnonzero(~((theta > 0.0) & (theta < 1.0)))
+        if outside.size:
+            k = int(outside[0])
+            raise EvaluationError(
+                f"chain start point has entry {k} = {theta[k]}; "
+                f"tolerance entries must lie strictly inside (0, 1)"
+            )
+        self._theta = theta
+        for i, needs_eps in enumerate(self._compiled.needs_eps):
+            if needs_eps:
                 self._m_cache[i] = None
-        for i in self._full_order:
+        for i in range(self._compiled.n_nodes - 1, -1, -1):
             self._recompute(i, -1)
         return self.totals()
 
@@ -771,7 +745,7 @@ class ChainEvaluator:
         if not 0.0 < value < 1.0:
             raise EvaluationError("tolerance entries must lie strictly inside (0, 1)")
         self._theta[index] = value
-        for i in self._order_lists[index]:
+        for i in self._compiled.dirty[index]:
             self._recompute(i, index)
         return self.totals()
 

@@ -21,6 +21,7 @@ from errorbudget.anneal import (
 from errorbudget.model import (
     EPSILON_CEILING,
     BudgetNode,
+    EvaluationError,
     LeafCost,
     Multiplicity,
     ParameterBinding,
@@ -122,6 +123,11 @@ class TestAcceptanceProbability:
 
     def test_half_at_log_two(self):
         assert acceptance_probability(math.log(2.0), 1.0) == pytest.approx(0.5, rel=1e-15)
+
+    def test_non_finite_change_never_accepted(self):
+        assert acceptance_probability(math.nan, 5.0) == 0.0
+        assert acceptance_probability(math.inf, 0.0) == 0.0
+        assert acceptance_probability(math.inf, 5.0) == 0.0
 
     def test_downhill_always_one(self):
         assert acceptance_probability(-1e-12, 50.0) == 1.0
@@ -231,6 +237,27 @@ class TestAnneal:
         assert result.first_feasible_cost == pytest.approx(
             total_cost(tree, binding, start), rel=1e-12
         )
+
+    def test_non_finite_start_point_rejected(self):
+        tree, binding = build_tfim_model(TfimConfig(n=4))
+        with pytest.raises(EvaluationError, match="start point has entry 2 = nan"):
+            anneal(tree, binding, 0.1, AnnealConfig(num_steps=10),
+                   theta_init=[0.1, 0.1, math.nan])
+
+    # Recorded chain outcomes: a change to any single accept decision, such as
+    # from reordered floating-point operations in an evaluator, moves them.
+    @pytest.mark.parametrize("n, preset, k, target, config, theta_init, expected", [
+        (10, "three_param", 0, 0.01, AnnealConfig(num_steps=3000, seed=4), None,
+         (75539642406.88138, 2155, 2617 / 3000)),
+        (30, "redundancy", 20, 0.1,
+         AnnealConfig(num_steps=3000, seed=11, beta_max=100.0, delta=1.0),
+         [0.05, 1e-4] + [1e-9] * 21, (2368734605.4811974, 1044, 2691 / 3000)),
+    ])
+    def test_pinned_trajectories(self, n, preset, k, target, config, theta_init, expected):
+        tree, binding = build_tfim_model(TfimConfig(n=n), preset, k)
+        result = anneal(tree, binding, target, config, theta_init=theta_init,
+                        record_trace=False)
+        assert (result.best_cost, result.steps_to_feasible, result.acceptance_rate) == expected
 
     def test_invalid_model_rejected(self):
         tree, _ = tfim_problem(n=4)

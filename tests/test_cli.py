@@ -128,6 +128,16 @@ class TestOptimizeCommand:
         payload = json.loads(stdout)
         assert [r["seed"] for r in payload["runs"]] == [9, 10]
 
+    def test_explicit_delta_overrides_config_tuning(self, model_file, tmp_path, capsys):
+        config = tmp_path / "anneal.json"
+        config.write_text(json.dumps({"num_steps": 500, "auto_delta": True}))
+        code, stdout, _ = run_cli(
+            capsys, "optimize", str(model_file), "--epsilon", "0.1",
+            "--config", str(config), "--delta", "0.3",
+        )
+        assert code in (0, 3)  # feasibility does not matter here
+        assert json.loads(stdout)["delta"] == 0.3
+
 
 class TestExperimentCommand:
     def test_cost_vs_eps_small(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from errorbudget.model import (
     BudgetNode,
+    ChainEvaluator,
     EvaluationError,
     ExpansionLimitError,
     LeafCost,
@@ -354,12 +355,32 @@ class TestProperties:
 class TestCompiledModel:
     def test_matches_recursive_on_random_trees(self):
         rng = np.random.default_rng(23)
+        moves = np.random.default_rng(29)
+
+        def assert_recursive(tree, binding, theta, totals):
+            cost, error = totals
+            assert cost == pytest.approx(total_cost(tree, binding, theta), rel=1e-12, abs=1e-12)
+            assert error == pytest.approx(total_error(tree, binding, theta), rel=1e-12, abs=1e-12)
+
         for _ in range(60):
             tree, binding, theta = random_tree(rng)
             compiled = compile_model(tree, binding)
-            cost, error = compiled.evaluate(theta)
-            assert cost == pytest.approx(total_cost(tree, binding, theta), rel=1e-12, abs=1e-12)
-            assert error == pytest.approx(total_error(tree, binding, theta), rel=1e-12, abs=1e-12)
+            assert_recursive(tree, binding, theta, compiled.evaluate(theta))
+
+            chain = ChainEvaluator(compiled)
+            totals = chain.reset(theta)
+            assert_recursive(tree, binding, theta, totals)
+            for _ in range(20 if theta.size else 0):
+                k = int(moves.integers(0, theta.size))
+                old = theta[k]
+                theta[k] = moves.uniform(0.05, 0.95)
+                moved = chain.update(k, theta[k])
+                assert_recursive(tree, binding, theta, moved)
+                if moves.random() < 0.5:
+                    theta[k] = old
+                    assert chain.update(k, old) == totals  # bit-identical revert
+                else:
+                    totals = moved
 
     def test_batch_evaluation(self):
         tree, binding = build_tfim_model(TfimConfig(n=5))
@@ -376,3 +397,10 @@ class TestCompiledModel:
         compiled = compile_model(tree, binding)
         with pytest.raises(EvaluationError):
             compiled.evaluate([0.1, -0.1, 0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_chain_reset_rejects_non_finite(self, bad):
+        tree, binding = build_tfim_model(TfimConfig(n=4))
+        chain = ChainEvaluator(compile_model(tree, binding))
+        with pytest.raises(EvaluationError, match="entry 1"):
+            chain.reset(np.array([0.1, bad, 0.1]))

@@ -30,6 +30,7 @@ from .model import (
     BudgetNode,
     ChainEvaluator,
     CompiledModel,
+    EvaluationError,
     ModelError,
     ParameterBinding,
     ToleranceVector,
@@ -39,6 +40,10 @@ from .model import (
 
 #: Denominator floor for relative objective changes.
 _REL_FLOOR = 1e-300
+
+#: Chain steps per block of uniforms drawn at once (four per step).  Small, so
+#: a long walk never holds its whole stream and an early stop wastes little.
+_BLOCK_STEPS = 256
 
 MODE_ERROR = "error"
 MODE_COST = "cost"
@@ -211,12 +216,13 @@ def acceptance_probability(delta_e: float, beta: float) -> float:
     return min(1.0, math.exp(-beta * delta_e))
 
 
-def _draw_move(theta: np.ndarray, delta: float, rng: np.random.Generator) -> tuple[int, float]:
-    """Draw index, direction and factor, in that order; return the moved entry."""
-    index = int(rng.random() * len(theta))
-    up = rng.random() < 0.5
-    factor = 1.0 + (1.0 - rng.random()) * delta
-    value = theta[index] * factor if up else theta[index] / factor
+def _move(
+    theta: Sequence[float], delta: float, u_index: float, u_up: float, u_factor: float
+) -> tuple[int, float]:
+    """The move picked by three uniforms: index, direction, factor; return the moved entry."""
+    index = int(u_index * len(theta))
+    factor = 1.0 + (1.0 - u_factor) * delta
+    value = theta[index] * factor if u_up < 0.5 else theta[index] / factor
     return index, min(max(value, EPSILON_FLOOR), EPSILON_CEILING)
 
 
@@ -228,7 +234,7 @@ def propose(theta: np.ndarray, delta: float, rng: np.random.Generator) -> tuple[
     clamped into the representable tolerance interval.  Consumes exactly three
     uniform draws so chains remain reproducible.
     """
-    index, value = _draw_move(theta, delta, rng)
+    index, value = _move(theta, delta, rng.random(), rng.random(), rng.random())
     out = theta.copy()
     out[index] = value
     return out, index
@@ -254,6 +260,10 @@ def _initial_theta(
     arr = np.asarray(values, dtype=float)
     if arr.shape != (dimension,):
         raise ValueError(f"initial point has shape {arr.shape}, expected ({dimension},)")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        k = int(bad[0])
+        raise EvaluationError(f"chain start point has entry {k} = {arr[k]}; entries must be finite")
     return np.clip(arr, EPSILON_FLOOR, EPSILON_CEILING)
 
 
@@ -266,20 +276,27 @@ def _run_chain(
     record_trace: bool,
     stop_at_feasible: bool = False,
     max_steps: int | None = None,
-) -> AnnealResult:
+) -> tuple[AnnealResult, list[tuple]]:
+    """Run one chain; return its result (without trace) and its trace rows.
+
+    Each step consumes four uniforms of the chain's stream, in the order
+    index, direction, factor, accept; they are drawn ``_BLOCK_STEPS`` steps at
+    a time, which yields the same values as one scalar draw each.  Trace rows
+    are plain ``StepRecord`` field tuples.
+    """
     rng = np.random.default_rng(seed)
-    theta = theta_init.copy()
+    theta = theta_init.tolist()
     cost, error = evaluator.reset(theta)
 
-    best_theta: np.ndarray | None = None
+    best_theta: list[float] | None = None
     best_cost = math.inf
     best_error = math.nan
-    first_theta: np.ndarray | None = None
+    first_theta: list[float] | None = None
     first_cost: float | None = None
     steps_to_feasible = -1
     min_error = error
     min_error_theta = theta.copy()
-    trace: list[StepRecord] = []
+    trace: list[tuple] = []
     accepted_count = 0
 
     def note_state(step: int) -> None:
@@ -306,50 +323,54 @@ def _run_chain(
     beta = 0.0
     steps_run = 0
     delta = config.delta
+    update = evaluator.update
+    uniforms: list[float] = []
+    u = 0
     for step in range(total_steps):
         if stop_at_feasible and first_theta is not None:
             break
+        if u == len(uniforms):
+            uniforms = rng.random(4 * _BLOCK_STEPS).tolist()
+            u = 0
         steps_run += 1
-        index, new_value = _draw_move(theta, delta, rng)
+        index, new_value = _move(theta, delta, uniforms[u], uniforms[u + 1], uniforms[u + 2])
+        u_accept = uniforms[u + 3]
+        u += 4
         old_value = theta[index]
-        new_cost, new_error = evaluator.update(index, new_value)
+        new_cost, new_error = update(index, new_value)
         if error <= eps_target:
             mode = MODE_COST
             delta_e = config.mode_scale_cost * (new_cost - cost) / max(abs(cost), _REL_FLOOR)
         else:
             mode = MODE_ERROR
             delta_e = config.mode_scale_error * (new_error - error) / max(abs(error), _REL_FLOOR)
-        p_accept = acceptance_probability(delta_e, beta)
-        accepted = rng.random() <= p_accept
+        accepted = u_accept <= acceptance_probability(delta_e, beta)
         if accepted:
             accepted_count += 1
             theta[index] = new_value
             cost, error = new_cost, new_error
             note_state(step + 1)
         else:
-            evaluator.update(index, old_value)  # restores bit-identical state
+            update(index, old_value)  # restores bit-identical state
         beta = min(beta + d_beta, config.beta_max)
         if record_trace:
-            trace.append(StepRecord(mode, cost, error, accepted, delta_e))
-
-    def vec(arr: np.ndarray) -> ToleranceVector:
-        return ToleranceVector(tuple(float(v) for v in arr))
+            trace.append((mode, cost, error, accepted, delta_e))
 
     return AnnealResult(
-        best_theta=vec(best_theta) if best_theta is not None else None,
+        best_theta=ToleranceVector(tuple(best_theta)) if best_theta is not None else None,
         best_cost=best_cost if best_theta is not None else None,
         best_error=best_error if best_theta is not None else None,
-        first_feasible_theta=vec(first_theta) if first_theta is not None else None,
+        first_feasible_theta=ToleranceVector(tuple(first_theta)) if first_theta is not None else None,
         first_feasible_cost=first_cost,
         steps_to_feasible=steps_to_feasible,
         acceptance_rate=accepted_count / steps_run if steps_run else 1.0,
         min_error=min_error,
-        min_error_theta=vec(min_error_theta),
+        min_error_theta=ToleranceVector(tuple(min_error_theta)),
         seed=seed,
         delta=config.delta,
-        trace=tuple(trace),
+        trace=(),
         runs=(),
-    )
+    ), trace
 
 
 def anneal(
@@ -376,21 +397,24 @@ def anneal(
     start = _initial_theta(compiled.dimension, config, theta_init)
 
     best: AnnealResult | None = None
+    best_trace: list[tuple] = []
     summaries: list[RunSummary] = []
     for chain in range(config.restarts):
-        result = _run_chain(
+        result, trace = _run_chain(
             evaluator, eps_target, config, config.seed + chain, start, record_trace,
             max_steps=max_steps,
         )
         summaries.append(result.summary())
-        if best is None:
-            best = result
-        elif result.feasible and (not best.feasible or result.best_cost < best.best_cost):
-            best = result
-        elif not best.feasible and result.min_error < best.min_error:
-            best = result
+        if (
+            best is None
+            or (result.feasible and (not best.feasible or result.best_cost < best.best_cost))
+            or (not best.feasible and result.min_error < best.min_error)
+        ):
+            best, best_trace = result, trace
     assert best is not None
-    return replace(best, runs=tuple(summaries))
+    return replace(
+        best, trace=tuple(StepRecord(*row) for row in best_trace), runs=tuple(summaries)
+    )
 
 
 def find_feasible(
@@ -415,7 +439,7 @@ def find_feasible(
     compiled = _validated(model, binding)
     start = _initial_theta(compiled.dimension, config, theta_init)
     # mode 1 only: make any feasible state terminal
-    result = _run_chain(
+    result, _ = _run_chain(
         ChainEvaluator(compiled),
         eps_target,
         config,
@@ -447,7 +471,7 @@ def measure_acceptance(
     compiled = _validated(model, binding)
     pilot = replace(config, num_steps=pilot_steps, restarts=1, seed=seed)
     start = _initial_theta(compiled.dimension, pilot, None)
-    result = _run_chain(
+    result, _ = _run_chain(
         ChainEvaluator(compiled), eps_target, pilot, seed, start, record_trace=False
     )
     return result.acceptance_rate

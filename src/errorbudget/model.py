@@ -507,16 +507,22 @@ class CompiledModel:
     index than its parent and descending index order visits children before
     parents.  For node ``i`` the table holds:
 
-    * ``children[i]``, the child indices, and the multiplicity of each edge as
+    * ``children[i]``, the child indices (the first child of ``i``, if any,
+      is ``i + 1``), and the multiplicity of each edge as
       ``edge_coeff[i]``, ``edge_nexp[i]`` (negated exponents) and
-      ``edge_ceil[i]``; constant multiplicities are stored already rounded,
+      ``edge_ceil[i]`` (a mask of the edges rounded up, ``None`` if there are
+      none); constant multiplicities are stored already rounded,
       and ``needs_eps[i]`` tells whether any edge depends on the node's own
       tolerance;
+    * ``parent[i]`` (``-1`` for the root) and ``child_pos[i]``, the node's
+      position in ``children[parent[i]]``;
     * ``slot[i]``, the group of the node's own tolerance (a composite's
       decomposition error or a leaf's synthesis tolerance), ``-1`` if none;
-    * ``is_leaf[i]``, ``leaf_count[i]``, ``leaf_gpl[i]`` and ``leaf_off[i]``,
-      the cost law of a leaf with gates; leaves without gates cost nothing,
-      err nothing and have no slot;
+    * ``leaf_law[i]``, the cost law ``(count, gates per log2(1/eps),
+      offset)`` of a leaf with gates as Python floats, ``None`` for other
+      nodes; leaves without gates cost nothing, err nothing and have no slot;
+      ``leaves`` lists the nodes with a law and ``leaf_block`` stacks their
+      laws as rows, for the batch pass;
     * per group ``k``, ``dirty[k]``: the nodes bound to ``k`` and their
       ancestors, in descending index order.
 
@@ -534,30 +540,31 @@ class CompiledModel:
         nodes: list[BudgetNode] = []
         kids: list[list[int]] = []
         ancestors: list[tuple[int, ...]] = []
+        self.parent: list[int] = []
+        self.child_pos: list[int] = []
 
-        def visit(node: BudgetNode, path: tuple[int, ...]) -> None:
+        def visit(node: BudgetNode, path: tuple[int, ...], pos: int) -> None:
             idx = len(nodes)
             nodes.append(node)
             kids.append([])
             ancestors.append(path)
-            for edge in node.children:
+            self.parent.append(path[-1] if path else -1)
+            self.child_pos.append(pos)
+            for k, edge in enumerate(node.children):
                 kids[idx].append(len(nodes))
-                visit(edge.node, path + (idx,))
+                visit(edge.node, path + (idx,), k)
 
-        visit(tree, ())
+        visit(tree, (), 0)
 
         n = len(nodes)
         self.n_nodes = n
         self.children: list[np.ndarray] = []
         self.edge_coeff: list[np.ndarray] = []
         self.edge_nexp: list[np.ndarray] = []
-        self.edge_ceil: list[np.ndarray] = []
+        self.edge_ceil: list[np.ndarray | None] = []
         self.needs_eps: list[bool] = []
         self.slot = np.full(n, -1, dtype=np.intp)
-        self.is_leaf = np.zeros(n, dtype=bool)
-        self.leaf_count = np.zeros(n)
-        self.leaf_gpl = np.zeros(n)
-        self.leaf_off = np.zeros(n)
+        self.leaf_law: list[tuple[float, float, float] | None] = [None] * n
         dirty: list[set[int]] = [set() for _ in range(self.dimension)]
         for i, node in enumerate(nodes):
             group = -1
@@ -580,10 +587,11 @@ class CompiledModel:
                 if node.leaf_cost.count > 0:
                     if group < 0:
                         raise ModelError(f"leaf {node.name!r} has no bound tolerance slot")
-                    self.is_leaf[i] = True
-                    self.leaf_count[i] = node.leaf_cost.count
-                    self.leaf_gpl[i] = node.leaf_cost.gates_per_unit_logeps
-                    self.leaf_off[i] = node.leaf_cost.additive_offset
+                    law = node.leaf_cost
+                    self.leaf_law[i] = (
+                        float(law.count), float(law.gates_per_unit_logeps),
+                        float(law.additive_offset),
+                    )
                 else:
                     group = -1
             self.slot[i] = group
@@ -594,12 +602,14 @@ class CompiledModel:
                 [m(None) if m.exponent == 0 else float(m.coefficient) for m in mults], dtype=float
             ))
             self.edge_nexp.append(np.asarray([-float(m.exponent) for m in mults], dtype=float))
-            self.edge_ceil.append(
-                np.asarray([m.rounding is Rounding.CEIL for m in mults], dtype=bool)
-            )
+            ceil = [m.rounding is Rounding.CEIL for m in mults]
+            self.edge_ceil.append(np.asarray(ceil, dtype=bool) if any(ceil) else None)
             self.needs_eps.append(needs_eps)
         self.dirty = [sorted(nodes_of_k, reverse=True) for nodes_of_k in dirty]
-        self.leaves = np.flatnonzero(self.is_leaf)
+        self.leaves = np.asarray(
+            [i for i, law in enumerate(self.leaf_law) if law is not None], dtype=np.intp
+        )
+        self.leaf_block = np.asarray([self.leaf_law[i] for i in self.leaves]).reshape(-1, 3)
         self.composites = [i for i in range(n - 1, -1, -1) if nodes[i].kind is NodeKind.COMPOSITE]
 
     def evaluate(self, theta: Sequence[float] | ToleranceVector | np.ndarray):
@@ -628,13 +638,11 @@ class CompiledModel:
         error = np.zeros_like(cost)
         leaves = self.leaves
         if leaves.size:
+            count, gpl, off = self.leaf_block.T[:, :, None]
             eps = by_group[self.slot[leaves]]
-            unit = np.maximum(
-                0.0,
-                self.leaf_gpl[leaves, None] * np.log2(1.0 / eps) + self.leaf_off[leaves, None],
-            )
-            cost[leaves] = self.leaf_count[leaves, None] * unit
-            error[leaves] = self.leaf_count[leaves, None] * eps
+            unit = np.maximum(0.0, gpl * np.log2(1.0 / eps) + off)
+            cost[leaves] = count * unit
+            error[leaves] = count * eps
         for i in self.composites:
             slot = self.slot[i]
             children = self.children[i]
@@ -642,7 +650,7 @@ class CompiledModel:
             if self.needs_eps[i]:
                 m = m * by_group[slot] ** self.edge_nexp[i][:, None]
                 ceil = self.edge_ceil[i]
-                if ceil.any():
+                if ceil is not None:
                     m = np.where(ceil[:, None], np.ceil(m), m)
             cost[i] = (m * cost[children]).sum(axis=0)
             error[i] = (m * error[children]).sum(axis=0)
@@ -667,64 +675,91 @@ class ChainEvaluator:
     every touched node is recomputed from scratch (never delta-adjusted), the
     cached totals are always exactly what a fresh evaluation would produce,
     and reverting an update restores bit-identical state.
+
+    The tolerance entries and the aggregates are Python floats, so the scalar
+    arithmetic of an update (leaf laws, single-child composites, a node's own
+    decomposition error) skips numpy-scalar overhead; IEEE-754 gives the same
+    results for the same operations in the same order.  Every other node
+    without a leaf law keeps its children's aggregates in a pair of numpy
+    buffers, written by each child when it is recomputed, so its sums are
+    ``m @ buffer`` with no gather.  Two steps stay numpy on purpose: the
+    dot product, because BLAS ``ddot`` may fuse multiply-adds where a Python
+    sum would not, and the multiplicity expression ``coeff * eps ** nexp``,
+    because ``np.power`` need not equal Python's ``**``.  Either rewrite could
+    change the last bit of a total, and with it a chain's accept decisions.
     """
 
     def __init__(self, compiled: CompiledModel) -> None:
         self._compiled = compiled
         self.dimension = compiled.dimension
-        self._theta = np.full(self.dimension, math.nan)
-        self._agg_cost = np.zeros(compiled.n_nodes)
-        self._agg_err = np.zeros(compiled.n_nodes)
-        # multiplicity vectors are functions of the node's own slot only;
-        # cache them so updates of other slots skip the power evaluation
-        self._m_cache: list[np.ndarray | None] = [
-            None if needs_eps else coeff
-            for coeff, needs_eps in zip(compiled.edge_coeff, compiled.needs_eps)
+        self._theta: list[float] = [math.nan] * self.dimension
+        self._cost = [0.0] * compiled.n_nodes
+        self._err = [0.0] * compiled.n_nodes
+        # single children are read from _cost/_err, leaves have no children
+        self._kid_cost = [
+            None if law is not None or kids.size == 1 else np.zeros(kids.size)
+            for law, kids in zip(compiled.leaf_law, compiled.children)
         ]
+        self._kid_err = [None if buf is None else np.zeros(buf.size) for buf in self._kid_cost]
+        # multiplicities are functions of the node's own slot only; cache them
+        # so updates of other slots skip the power evaluation
+        self._m_cache: list[np.ndarray | float | None] = [None] * compiled.n_nodes
+        self._slot = compiled.slot.tolist()
 
-    def _recompute(self, i: int, changed_slot: int) -> None:
+    def _refresh(self, nodes: Iterable[int], changed_slot: int) -> None:
+        """Recompute ``nodes``, given children first, from their children."""
         table = self._compiled
-        children = table.children[i]
-        if children.size == 0:
-            if table.is_leaf[i]:
-                eps = self._theta[table.slot[i]]
-                unit = max(0.0, table.leaf_gpl[i] * math.log2(1.0 / eps) + table.leaf_off[i])
-                self._agg_cost[i] = table.leaf_count[i] * unit
-                self._agg_err[i] = table.leaf_count[i] * eps
+        theta, cost, err, m_cache = self._theta, self._cost, self._err, self._m_cache
+        slots, laws, kid_cost, kid_err = self._slot, table.leaf_law, self._kid_cost, self._kid_err
+        parent, child_pos, needs_eps = table.parent, table.child_pos, table.needs_eps
+        for i in nodes:
+            slot = slots[i]
+            law = laws[i]
+            if law is not None:
+                count, gpl, off = law
+                eps = theta[slot]
+                c = count * max(0.0, gpl * math.log2(1.0 / eps) + off)
+                e = count * eps
             else:
-                # zero-count leaf or childless composite: cost-free, only a
-                # possible decomposition error of its own
-                slot = table.slot[i]
-                self._agg_cost[i] = 0.0
-                self._agg_err[i] = self._theta[slot] if slot >= 0 else 0.0
-            return
-        slot = table.slot[i]
-        m = self._m_cache[i]
-        if table.needs_eps[i] and (m is None or slot == changed_slot):
-            m = table.edge_coeff[i] * self._theta[slot] ** table.edge_nexp[i]
-            ceil = table.edge_ceil[i]
-            if ceil.any():
-                m = np.where(ceil, np.ceil(m), m)
-            self._m_cache[i] = m
-        if children.size == 1:
-            child = int(children[0])
-            m0 = float(m[0])
-            self._agg_cost[i] = m0 * self._agg_cost[child]
-            err = m0 * self._agg_err[child]
-        else:
-            self._agg_cost[i] = float(m @ self._agg_cost[children])
-            err = float(m @ self._agg_err[children])
-        if slot >= 0:
-            err += self._theta[slot]
-        self._agg_err[i] = err
+                m = m_cache[i]
+                if m is None or (slot == changed_slot and needs_eps[i]):
+                    m = table.edge_coeff[i]
+                    if needs_eps[i]:
+                        m = m * theta[slot] ** table.edge_nexp[i]
+                        ceil = table.edge_ceil[i]
+                        if ceil is not None:
+                            m = np.where(ceil, np.ceil(m), m)
+                    if kid_cost[i] is None:
+                        m = float(m[0])
+                    m_cache[i] = m
+                buf = kid_cost[i]
+                if buf is None:  # the only child, i + 1 in preorder
+                    c = m * cost[i + 1]
+                    e = m * err[i + 1]
+                else:  # childless nodes sum an empty buffer to 0.0
+                    c = float(m @ buf)
+                    e = float(m @ kid_err[i])
+                if slot >= 0:
+                    e += theta[slot]
+            cost[i] = c
+            err[i] = e
+            p = parent[i]
+            if p >= 0 and kid_cost[p] is not None:
+                kid_cost[p][child_pos[i]] = c
+                kid_err[p][child_pos[i]] = e
 
-    def reset(self, theta: np.ndarray) -> tuple[float, float]:
+    def reset(self, theta: Sequence[float] | np.ndarray) -> tuple[float, float]:
         """Set the full tolerance vector and recompute everything.
 
-        Raises :class:`EvaluationError` naming the first entry of ``theta``
-        outside ``(0, 1)``; NaN and infinite entries count as outside.
+        Raises :class:`EvaluationError` if ``theta`` does not have
+        ``dimension`` entries, or naming the first entry outside ``(0, 1)``;
+        NaN and infinite entries count as outside.
         """
         theta = np.array(theta, dtype=float)
+        if theta.shape != (self.dimension,):
+            raise EvaluationError(
+                f"chain start point has shape {theta.shape}, expected ({self.dimension},)"
+            )
         outside = np.flatnonzero(~((theta > 0.0) & (theta < 1.0)))
         if outside.size:
             k = int(outside[0])
@@ -732,25 +767,21 @@ class ChainEvaluator:
                 f"chain start point has entry {k} = {theta[k]}; "
                 f"tolerance entries must lie strictly inside (0, 1)"
             )
-        self._theta = theta
-        for i, needs_eps in enumerate(self._compiled.needs_eps):
-            if needs_eps:
-                self._m_cache[i] = None
-        for i in range(self._compiled.n_nodes - 1, -1, -1):
-            self._recompute(i, -1)
+        self._theta = theta.tolist()
+        self._m_cache = [None] * self._compiled.n_nodes
+        self._refresh(range(self._compiled.n_nodes - 1, -1, -1), -1)
         return self.totals()
 
     def update(self, index: int, value: float) -> tuple[float, float]:
         """Change one tolerance entry and return the new ``(cost, error)``."""
         if not 0.0 < value < 1.0:
             raise EvaluationError("tolerance entries must lie strictly inside (0, 1)")
-        self._theta[index] = value
-        for i in self._compiled.dirty[index]:
-            self._recompute(i, index)
-        return self.totals()
+        self._theta[index] = float(value)
+        self._refresh(self._compiled.dirty[index], index)
+        return self._cost[0], self._err[0]
 
     def totals(self) -> tuple[float, float]:
-        return float(self._agg_cost[0]), float(self._agg_err[0])
+        return self._cost[0], self._err[0]
 
     def theta(self) -> np.ndarray:
-        return self._theta.copy()
+        return np.array(self._theta)

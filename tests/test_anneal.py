@@ -244,6 +244,13 @@ class TestAnneal:
             anneal(tree, binding, 0.1, AnnealConfig(num_steps=10),
                    theta_init=[0.1, 0.1, math.nan])
 
+    @pytest.mark.parametrize("run", [anneal, find_feasible])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_start_point_rejected(self, run, bad):
+        tree, binding = build_tfim_model(TfimConfig(n=4))
+        with pytest.raises(EvaluationError, match=f"start point has entry 1 = {bad}"):
+            run(tree, binding, 0.1, AnnealConfig(num_steps=10), theta_init=[0.1, bad, 0.1])
+
     # Recorded chain outcomes: a change to any single accept decision, such as
     # from reordered floating-point operations in an evaluator, moves them.
     @pytest.mark.parametrize("n, preset, k, target, config, theta_init, expected", [
@@ -307,6 +314,17 @@ class TestFindFeasible:
         theta, steps = find_feasible(tree, binding, 1e-4, config, max_steps=100_000)
         assert steps > 50
         assert total_error(tree, binding, theta) <= 1e-4
+
+
+    def test_pinned_stop_inside_a_block(self):
+        # Recorded outcome of a walk that stops partway through a block of
+        # pre-drawn uniforms, several blocks in.
+        tree, binding = build_tfim_model(TfimConfig(n=30), "redundancy", 0)
+        theta, steps = find_feasible(
+            tree, binding, 0.1, AnnealConfig(num_steps=5000, seed=1), max_steps=20_000
+        )
+        assert steps == 2133
+        assert theta.values == (0.05236271654448539, 3.212538510085419e-05, 7.736074547306257e-10)
 
 
 class TestTuneDelta:

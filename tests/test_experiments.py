@@ -166,6 +166,33 @@ class TestRedundancy:
             )
 
 
+    def test_pinned_row(self, tmp_path):
+        # Recorded CSV body and tuned widths: every chain and tuner pilot here
+        # runs past several blocks of pre-drawn uniforms, so a change to the
+        # order or number of draws per step, or to any chain state, moves them.
+        spec = default_spec(
+            "redundancy", tmp_path / "pinned.csv", tfim=TfimConfig(n=12), redundancies=(0, 10),
+            anneal=AnnealConfig(num_steps=2000, restarts=2, auto_delta=True, seed=3),
+            optimize_max_steps=4000,
+        )
+        result = run_experiment(spec)
+        assert result.csv_path.read_text() == (
+            "k_redundant,best_cost,best_cost_over_k0_ratio,steps_to_feasible,"
+            "first_feasible_cost,improvement_factor,best_error,theta,flagged\n"
+            "0,693162078.6557473,1.0,432,2814210527.9772553,4.059960310343099,"
+            "0.09995276554040068,0.06970967088704358;3.8435170167437555e-05;"
+            "4.5294042770198715e-10,0\n"
+            "10,936906776.9059833,1.3516417094295339,2038,1268580662.2193072,"
+            "1.3540094847094981,0.09711388693300281,0.06748975627837497;"
+            "2.321060088322267e-05;1.849032002903288e-11;1.4887678202868218e-10;"
+            "5.6787504623568e-09;8.24590489128922e-10;1.003889303860125e-09;"
+            "1.172969653956562e-10;1.5116957897377347e-10;2.3519831118165775e-09;"
+            "4.816563681120289e-09;3.171484688571168e-09;3.4041872905946176e-13,0\n"
+        )
+        meta = json.loads(result.metadata_path.read_text())
+        assert meta["tuned_deltas"] == [3.983833442288991, 4.0]
+
+
 class TestRuntime:
     def test_columns_and_params(self, tmp_path):
         result = run_experiment(small_spec("runtime", tmp_path))

@@ -381,6 +381,8 @@ class TestCompiledModel:
                     assert chain.update(k, old) == totals  # bit-identical revert
                 else:
                     totals = moved
+                # incremental state equals a fresh chain's, bit for bit
+                assert ChainEvaluator(compiled).reset(theta) == totals
 
     def test_batch_evaluation(self):
         tree, binding = build_tfim_model(TfimConfig(n=5))
@@ -404,3 +406,10 @@ class TestCompiledModel:
         chain = ChainEvaluator(compile_model(tree, binding))
         with pytest.raises(EvaluationError, match="entry 1"):
             chain.reset(np.array([0.1, bad, 0.1]))
+
+    def test_chain_reset_rejects_wrong_length(self):
+        tree, binding = build_tfim_model(TfimConfig(n=4))
+        chain = ChainEvaluator(compile_model(tree, binding))
+        for theta in ([0.1] * 5, [0.1] * 2, [[0.1] * 3]):
+            with pytest.raises(EvaluationError, match=r"expected \(3,\)"):
+                chain.reset(theta)

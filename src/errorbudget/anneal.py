@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -90,6 +91,17 @@ class AnnealConfig:
     auto_delta: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("num_steps", "seed", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("beta_max", "delta", "mode_scale_error", "mode_scale_cost", "epsilon_init"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        if not isinstance(self.auto_delta, bool):
+            raise ValueError(f"auto_delta must be true or false, got {self.auto_delta!r}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be at least 1, got {self.num_steps}")
         if self.beta_max < 0:
@@ -242,6 +254,8 @@ def propose(theta: np.ndarray, delta: float, rng: np.random.Generator) -> tuple[
 
 def _validated(model: BudgetNode | CompiledModel, binding: ParameterBinding) -> CompiledModel:
     if isinstance(model, CompiledModel):
+        if binding is not model.binding and binding != model.binding:
+            raise ValueError("binding differs from the one the model was compiled with")
         return model
     report = validate_model(model, binding)
     if not report.ok:
@@ -260,11 +274,13 @@ def _initial_theta(
     arr = np.asarray(values, dtype=float)
     if arr.shape != (dimension,):
         raise ValueError(f"initial point has shape {arr.shape}, expected ({dimension},)")
-    bad = np.flatnonzero(~np.isfinite(arr))
+    bad = np.flatnonzero(~((arr >= EPSILON_FLOOR) & (arr < 1.0)))  # NaN fails both
     if bad.size:
         k = int(bad[0])
-        raise EvaluationError(f"chain start point has entry {k} = {arr[k]}; entries must be finite")
-    return np.clip(arr, EPSILON_FLOOR, EPSILON_CEILING)
+        raise EvaluationError(
+            f"chain start point has entry {k} = {arr[k]}; entries must lie in [{EPSILON_FLOOR}, 1)"
+        )
+    return arr
 
 
 def _run_chain(

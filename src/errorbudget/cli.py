@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .anneal import AnnealConfig, InfeasibleError, anneal, tune_delta
-from .experiments import KINDS, default_spec, run_experiment
+from .anneal import AnnealConfig, InfeasibleError, anneal
+from .experiments import KINDS, default_spec, run_config, run_experiment
 from .model import ModelError, as_ceiled, total_cost, total_error, validate_model
 from .modelio import ModelFormatError, load_model, save_model
 from .normlab import (
@@ -117,10 +117,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         print(f"error target must be positive, got {args.epsilon}", file=sys.stderr)
         return EXIT_EXHAUSTED
     config = _anneal_config(args, AnnealConfig())
-    if config.auto_delta:
-        tuned = tune_delta(tree, binding, args.epsilon, config,
-                           np.random.default_rng(config.seed))
-        config = replace(config, delta=tuned)
+    config, _ = run_config(tree, binding, args.epsilon, config, config.seed)
     result = anneal(tree, binding, args.epsilon, config, record_trace=args.trace)
 
     output = result.to_dict(include_trace=args.trace)

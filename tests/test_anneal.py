@@ -25,6 +25,7 @@ from errorbudget.model import (
     LeafCost,
     Multiplicity,
     ParameterBinding,
+    compile_model,
     total_cost,
     total_error,
 )
@@ -51,6 +52,22 @@ def zero_error_model():
 def single_leaf_problem(count=2.0):
     leaf = BudgetNode.leaf("gate", "eps", LeafCost(count, 4.0))
     return leaf, ParameterBinding.from_dict({"eps": ["eps"]})
+
+
+class TestAnnealConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("num_steps", 50.5), ("num_steps", "100"), ("restarts", True), ("seed", 1.0),
+        ("beta_max", math.nan), ("delta", math.inf), ("mode_scale_error", "1"),
+        ("mode_scale_cost", None), ("epsilon_init", True), ("auto_delta", 1),
+        ("auto_delta", "yes"),
+    ])
+    def test_wrong_type_or_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            AnnealConfig(**{field: value})
+
+    def test_numpy_and_integer_values_accepted(self):
+        config = AnnealConfig(num_steps=np.int64(10), seed=np.int64(3), beta_max=10, delta=1)
+        assert config.to_dict()["beta_max"] == 10
 
 
 class TestPropose:
@@ -245,7 +262,7 @@ class TestAnneal:
                    theta_init=[0.1, 0.1, math.nan])
 
     @pytest.mark.parametrize("run", [anneal, find_feasible])
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, 0.0, 5.0, -3.0, 1.0])
     def test_infinite_start_point_rejected(self, run, bad):
         tree, binding = build_tfim_model(TfimConfig(n=4))
         with pytest.raises(EvaluationError, match=f"start point has entry 1 = {bad}"):
@@ -265,6 +282,22 @@ class TestAnneal:
         result = anneal(tree, binding, target, config, theta_init=theta_init,
                         record_trace=False)
         assert (result.best_cost, result.steps_to_feasible, result.acceptance_rate) == expected
+
+    # (0.1, 1e-3, 1e-6) has error 0.86 on the n=4 three-parameter model
+    @pytest.mark.parametrize("run", [
+        lambda m, b: anneal(m, b, 0.1, AnnealConfig(num_steps=10)),
+        lambda m, b: find_feasible(m, b, 1.0, AnnealConfig(num_steps=10), theta_init=[0.1, 1e-3, 1e-6]),
+        lambda m, b: measure_acceptance(m, b, 0.1, AnnealConfig(), seed=1, pilot_steps=10),
+        lambda m, b: tune_delta(m, b, 0.1, AnnealConfig(), np.random.default_rng(0)),
+        lambda m, b: grid_search_reference(m, b, 1.0, [[0.1], [1e-3], [1e-6]]),
+    ], ids=["anneal", "find_feasible", "measure_acceptance", "tune_delta", "grid"])
+    def test_binding_must_match_compiled_model(self, run):
+        tree, three_param = build_tfim_model(TfimConfig(n=4), "three_param")
+        _, two_param = build_tfim_model(TfimConfig(n=4), "two_param")
+        with pytest.raises(ValueError, match="binding differs"):
+            run(compile_model(tree, three_param), two_param)
+        _, same = build_tfim_model(TfimConfig(n=4), "three_param")  # equal, not identical
+        run(compile_model(tree, three_param), same)
 
     def test_invalid_model_rejected(self):
         tree, _ = tfim_problem(n=4)

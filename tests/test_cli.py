@@ -138,6 +138,20 @@ class TestOptimizeCommand:
         assert code in (0, 3)  # feasibility does not matter here
         assert json.loads(stdout)["delta"] == 0.3
 
+    @pytest.mark.parametrize("config, field", [
+        ({"num_steps": "100"}, "num_steps"),
+        ({"beta_max": None}, "beta_max"),
+        ({"auto_delta": "yes"}, "auto_delta"),
+    ])
+    def test_mistyped_config_exits_2(self, model_file, tmp_path, capsys, config, field):
+        path = tmp_path / "anneal.json"
+        path.write_text(json.dumps(config))
+        code, _, stderr = run_cli(
+            capsys, "optimize", str(model_file), "--epsilon", "0.1", "--config", str(path),
+        )
+        assert code == 2
+        assert f"invalid configuration: {field} must be" in stderr
+
 
 class TestExperimentCommand:
     def test_cost_vs_eps_small(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from errorbudget.anneal import AnnealConfig
+from errorbudget.anneal import AnnealConfig, tune_delta
 from errorbudget.experiments import ExperimentSpec, default_spec, run_experiment
 from errorbudget.model import total_cost, total_error
 from errorbudget.tfim import TfimConfig, build_tfim_model
@@ -77,6 +78,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="rotation units"):
             spec.validate()
 
+    @pytest.mark.parametrize("kind, overrides, match", [
+        ("redundancy", dict(redundancies=(0, -1)), "non-negative"),
+        ("runtime", dict(redundancies=(-2,)), "non-negative"),
+        ("redundancy", dict(targets=(1e-1, 1e-2)), "one error target"),
+        ("runtime", dict(targets=(1e-1, 1e-2)), "one error target"),
+        ("cost_vs_eps", dict(redundancies=(2,)), "no redundancy counts"),
+        ("granularity", dict(redundancies=(0,)), "no redundancy counts"),
+    ])
+    def test_sweep_rejected_at_entry(self, tmp_path, kind, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            small_spec(kind, tmp_path, **overrides).validate()
+
     def test_default_specs_validate(self, tmp_path):
         for kind in ("cost_vs_eps", "granularity", "redundancy", "runtime"):
             default_spec(kind, tmp_path / f"{kind}.csv").validate()
@@ -127,6 +140,17 @@ class TestGranularity:
             assert float(row["ratio"]) == pytest.approx(
                 float(row["cost_2param"]) / float(row["cost_3param"]), rel=1e-12
             )
+
+    def test_auto_delta_tunes_both_models(self, tmp_path):
+        spec = small_spec("granularity", tmp_path, targets=(1e-1,),
+                          anneal=AnnealConfig(num_steps=300, restarts=1, seed=5, auto_delta=True))
+        result = run_experiment(spec)
+        meta = json.loads(result.metadata_path.read_text())
+        expected = []
+        for preset in ("two_param", "three_param"):
+            tree, binding = build_tfim_model(TfimConfig(n=6), preset)
+            expected.append(tune_delta(tree, binding, 1e-1, spec.anneal, np.random.default_rng(5)))
+        assert meta["tuned_deltas"] == [expected]
 
     def test_thetas_recheck(self, tmp_path):
         result = run_experiment(small_spec("granularity", tmp_path))

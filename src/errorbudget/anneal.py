@@ -10,6 +10,11 @@ the target again.  Moves are accepted with the Metropolis probability
 one beta schedule usable across cost scales spanning many orders of
 magnitude.
 
+Chains run in a compiled C kernel (``_chain.c``, built with the system's
+``cc`` on the first chain a process runs and cached per user) or, where it
+cannot be built, in a Python reference loop over :class:`ChainEvaluator`;
+the two give bit-identical chains.
+
 Also here: multi-start driving, a proposal-width tuner targeting a ~50%
 acceptance rate, warm starts from coarser bindings, and an exhaustive
 grid-search reference used as an independent oracle for annealer quality.
@@ -17,10 +22,19 @@ grid-search reference used as an independent oracle for annealer quality.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import numbers
+import os
+import platform
+import shutil
+import sys
+import tempfile
+import zlib
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +58,43 @@ _REL_FLOOR = 1e-300
 
 #: Chain steps per block of uniforms drawn at once (four per step).  Small, so
 #: a long walk never holds its whole stream and an early stop wastes little.
-_BLOCK_STEPS = 256
+_BLOCK_STEPS = 1024
+
+#: How the chain kernel is compiled; no flag may let the compiler reorder or
+#: contract floating-point operations.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+class _Table(ctypes.Structure):
+    """``struct table`` of ``_chain.c``: a model's :attr:`CompiledModel.chain_table`."""
+
+    _fields_ = [("n_nodes", ctypes.c_int64), ("dim", ctypes.c_int64)] + [
+        (name, ctypes.c_void_p)
+        for name in ("slot", "needs_eps", "has_law", "law", "kid_ptr", "kid", "coeff", "nexp",
+                     "ceil", "dirty_ptr", "dirty")
+    ]
+
+
+#: The chain's in/out points and its trace columns, as named in ``struct chain``.
+_POINTS = ("theta", "best_theta", "first_theta", "min_theta")
+_COLUMNS = ("t_cost_mode", "t_cost", "t_error", "t_accepted", "t_delta_e")
+
+
+class _Chain(ctypes.Structure):
+    """``struct chain`` of ``_chain.c``: one chain's settings, buffers and results."""
+
+    _fields_ = (
+        [(name, ctypes.c_double) for name in (
+            "eps_target", "beta_max", "d_beta", "delta", "scale_error", "scale_cost")]
+        + [(name, ctypes.c_int64) for name in ("total_steps", "stop_at_feasible", "block_steps")]
+        + [(name, ctypes.c_void_p) for name in ("uniforms", *_POINTS, *_COLUMNS)]
+        + [(name, ctypes.c_double) for name in (
+            "cost", "error", "best_cost", "best_error", "first_cost", "min_error")]
+        + [(name, ctypes.c_int64) for name in ("steps_run", "accepted", "steps_to_feasible")]
+    )
+
+
+_REFILL = ctypes.CFUNCTYPE(ctypes.c_int)
 
 MODE_ERROR = "error"
 MODE_COST = "cost"
@@ -283,36 +333,160 @@ def _initial_theta(
     return arr
 
 
-def _run_chain(
-    evaluator: ChainEvaluator,
-    eps_target: float,
-    config: AnnealConfig,
-    seed: int,
-    theta_init: np.ndarray,
-    record_trace: bool,
-    stop_at_feasible: bool = False,
-    max_steps: int | None = None,
-) -> tuple[AnnealResult, list[tuple]]:
-    """Run one chain; return its result (without trace) and its trace rows.
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(root) / "errorbudget"
 
-    Each step consumes four uniforms of the chain's stream, in the order
-    index, direction, factor, accept; they are drawn ``_BLOCK_STEPS`` steps at
-    a time, which yields the same values as one scalar draw each.  Trace rows
-    are plain ``StepRecord`` field tuples.
+
+def _find_compiler() -> str | None:
+    return shutil.which("cc")
+
+
+def _compile_kernel(compiler: str, source: bytes, target: Path) -> None:
+    """Build the kernel into a private temp file, then move it to ``target``."""
+    import subprocess
+
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=target.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [compiler, *_CFLAGS, "-o", tmp, "-x", "c", "-", "-lm"],
+            input=source, capture_output=True, timeout=300,
+        )
+        if proc.returncode != 0:
+            message = proc.stderr.decode(errors="replace").strip()
+            raise OSError(f"{compiler} exited with {proc.returncode}: {message[:400]}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_kernel():
+    """Load the kernel library from the cache, building it there if needed."""
+    source = (Path(__file__).parent / "_chain.c").read_bytes()
+    built = source + repr((_CFLAGS, sys.platform, platform.machine(), platform.libc_ver())).encode()
+    # two 32-bit checksums make the key: hashlib would load OpenSSL, several
+    # MB of resident memory, for this one digest
+    key = f"{zlib.crc32(built):08x}{zlib.adler32(built):08x}"
+    directory = _cache_dir()
+    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = directory.stat()
+    if info.st_uid != os.getuid():
+        raise OSError(f"cache directory {directory} belongs to another user")
+    if info.st_mode & 0o077:
+        directory.chmod(0o700)
+    target = directory / f"_chain-{key}.so"
+    if target.exists():
+        try:
+            return _bind(ctypes.CDLL(str(target)))
+        except (OSError, AttributeError):  # truncated or foreign: build it again
+            pass
+    compiler = _find_compiler()
+    if compiler is None:
+        raise OSError("no C compiler (cc) on PATH")
+    _compile_kernel(compiler, source, target)
+    return _bind(ctypes.CDLL(str(target)))
+
+
+def _bind(library):
+    run = library.eb_run_chain
+    run.argtypes = [ctypes.POINTER(_Table), ctypes.POINTER(_Chain), _REFILL]
+    run.restype = ctypes.c_int
+    return run
+
+
+@functools.cache
+def _chain_kernel():
+    """The compiled chain kernel, built on the first chain; ``None`` if unavailable.
+
+    The modules only the build needs are imported here, so that importing the
+    package does not pay for them.
     """
-    rng = np.random.default_rng(seed)
-    theta = theta_init.tolist()
+    import logging
+    import subprocess
+
+    try:
+        return _load_kernel()
+    except (OSError, subprocess.SubprocessError) as exc:
+        logging.getLogger("errorbudget").warning(
+            "errorbudget: compiled chain kernel unavailable (%s); "
+            "chains run in the slower Python chain engine", exc,
+        )
+        return None
+
+
+def chain_engine() -> str:
+    """``"c"`` when chains run in the compiled kernel, ``"python"`` when not."""
+    return "python" if _chain_kernel() is None else "c"
+
+
+def _kernel_chain(kernel, compiled, eps_target, config, theta, total_steps, block_steps,
+                  rng, record_trace, stop_at_feasible):
+    """The chain in the compiled kernel; returns what :func:`_reference_chain` does."""
+    table = compiled.chain_table
+    c_table = _Table(n_nodes=compiled.n_nodes, dim=compiled.dimension,
+                     **{name: array.ctypes.data for name, array in table.items()})
+    block = np.empty(4 * block_steps)
+    points = np.empty((4, compiled.dimension))
+    points[0] = theta
+    columns = tuple(
+        np.zeros(total_steps if record_trace else 0, dtype=kind)
+        for kind in (np.int8, float, float, np.int8, float)  # as named in _COLUMNS
+    )
+    chain = _Chain(
+        eps_target=eps_target, beta_max=config.beta_max, d_beta=config.beta_max / config.num_steps,
+        delta=config.delta, scale_error=config.mode_scale_error, scale_cost=config.mode_scale_cost,
+        total_steps=total_steps, stop_at_feasible=stop_at_feasible, block_steps=block_steps,
+        uniforms=block.ctypes.data,
+        **{name: row.ctypes.data for name, row in zip(_POINTS, points)},
+        **({name: column.ctypes.data for name, column in zip(_COLUMNS, columns)}
+           if record_trace else {}),
+    )
+
+    interrupted: list[BaseException] = []
+
+    def refill() -> int:
+        try:
+            rng.random(out=block)
+        except BaseException as exc:  # such as Ctrl-C: stop the chain, raise it below
+            interrupted.append(exc)
+            return 1
+        return 0
+
+    status = kernel(ctypes.byref(c_table), ctypes.byref(chain), _REFILL(refill))
+    if interrupted:
+        raise interrupted[0]
+    if status != 0:
+        raise MemoryError("the chain kernel could not allocate its node buffers")
+    _, best, first, min_theta = points.tolist()
+    steps = chain.steps_run
+    return (
+        best, chain.best_cost, chain.best_error,
+        first, chain.first_cost, chain.steps_to_feasible,
+        chain.min_error, min_theta, chain.accepted, steps,
+        tuple(column[:steps] for column in columns),
+    )
+
+
+def _reference_chain(compiled, eps_target, config, theta, total_steps, block_steps,
+                     rng, record_trace, stop_at_feasible):
+    """The chain in Python over :class:`ChainEvaluator`: the kernel's reference.
+
+    Returns the best, first-feasible and min-error points with their values,
+    the accept and step counts and the trace columns.
+    """
+    evaluator = ChainEvaluator(compiled)
+    theta = theta.tolist()
     cost, error = evaluator.reset(theta)
 
-    best_theta: list[float] | None = None
+    best_theta = first_theta = None
     best_cost = math.inf
-    best_error = math.nan
-    first_theta: list[float] | None = None
-    first_cost: float | None = None
+    best_error = first_cost = math.nan
     steps_to_feasible = -1
     min_error = error
     min_error_theta = theta.copy()
-    trace: list[tuple] = []
+    columns: tuple[list, ...] = ([], [], [], [], [])
     accepted_count = 0
 
     def note_state(step: int) -> None:
@@ -332,9 +506,6 @@ def _run_chain(
                 best_error = error
 
     note_state(0)
-    total_steps = config.num_steps if max_steps is None else max_steps
-    if len(theta) == 0:
-        total_steps = 0  # nothing to optimize
     d_beta = config.beta_max / config.num_steps
     beta = 0.0
     steps_run = 0
@@ -346,7 +517,7 @@ def _run_chain(
         if stop_at_feasible and first_theta is not None:
             break
         if u == len(uniforms):
-            uniforms = rng.random(4 * _BLOCK_STEPS).tolist()
+            uniforms = rng.random(4 * block_steps).tolist()
             u = 0
         steps_run += 1
         index, new_value = _move(theta, delta, uniforms[u], uniforms[u + 1], uniforms[u + 2])
@@ -354,11 +525,10 @@ def _run_chain(
         u += 4
         old_value = theta[index]
         new_cost, new_error = update(index, new_value)
-        if error <= eps_target:
-            mode = MODE_COST
+        cost_mode = error <= eps_target
+        if cost_mode:
             delta_e = config.mode_scale_cost * (new_cost - cost) / max(abs(cost), _REL_FLOOR)
         else:
-            mode = MODE_ERROR
             delta_e = config.mode_scale_error * (new_error - error) / max(abs(error), _REL_FLOOR)
         accepted = u_accept <= acceptance_probability(delta_e, beta)
         if accepted:
@@ -370,16 +540,62 @@ def _run_chain(
             update(index, old_value)  # restores bit-identical state
         beta = min(beta + d_beta, config.beta_max)
         if record_trace:
-            trace.append((mode, cost, error, accepted, delta_e))
+            for column, value in zip(columns, (cost_mode, cost, error, accepted, delta_e)):
+                column.append(value)
 
+    return (
+        best_theta, best_cost, best_error,
+        first_theta, first_cost, steps_to_feasible,
+        min_error, min_error_theta, accepted_count, steps_run,
+        columns,
+    )
+
+
+def _run_chain(
+    compiled: CompiledModel,
+    eps_target: float,
+    config: AnnealConfig,
+    seed: int,
+    theta_init: np.ndarray,
+    record_trace: bool,
+    stop_at_feasible: bool = False,
+    max_steps: int | None = None,
+    reference: bool = False,
+) -> tuple[AnnealResult, tuple]:
+    """Run one chain; return its result (without trace) and its trace columns.
+
+    Each step consumes four uniforms of the chain's stream, in the order
+    index, direction, factor, accept; they are drawn in blocks of up to
+    ``_BLOCK_STEPS`` steps, which yields the same values as one scalar draw
+    each.  The chain runs in the compiled kernel unless ``reference`` is set
+    or the kernel is unavailable; the Python loop of
+    :func:`_reference_chain` is the same chain, bit for bit.  The trace
+    columns hold per step whether it ran in cost mode, and the cost, error,
+    accepted flag and ``delta_e`` after it.
+    """
+    total_steps = config.num_steps if max_steps is None else max(max_steps, 0)
+    if compiled.dimension == 0:
+        total_steps = 0  # nothing to optimize
+    block_steps = min(total_steps, _BLOCK_STEPS)
+    rng = np.random.default_rng(seed)
+    kernel = None if reference else _chain_kernel()
+    engine = _reference_chain if kernel is None else functools.partial(_kernel_chain, kernel)
+    (
+        best_theta, best_cost, best_error, first_theta, first_cost, steps_to_feasible,
+        min_error, min_error_theta, accepted, steps_run, trace,
+    ) = engine(compiled, eps_target, config, theta_init, total_steps, block_steps, rng,
+               record_trace, stop_at_feasible)
+    feasible = best_cost < math.inf  # as the best point is only ever taken below inf
     return AnnealResult(
-        best_theta=ToleranceVector(tuple(best_theta)) if best_theta is not None else None,
-        best_cost=best_cost if best_theta is not None else None,
-        best_error=best_error if best_theta is not None else None,
-        first_feasible_theta=ToleranceVector(tuple(first_theta)) if first_theta is not None else None,
-        first_feasible_cost=first_cost,
+        best_theta=ToleranceVector(tuple(best_theta)) if feasible else None,
+        best_cost=best_cost if feasible else None,
+        best_error=best_error if feasible else None,
+        first_feasible_theta=(
+            ToleranceVector(tuple(first_theta)) if steps_to_feasible >= 0 else None
+        ),
+        first_feasible_cost=first_cost if steps_to_feasible >= 0 else None,
         steps_to_feasible=steps_to_feasible,
-        acceptance_rate=accepted_count / steps_run if steps_run else 1.0,
+        acceptance_rate=accepted / steps_run if steps_run else 1.0,
         min_error=min_error,
         min_error_theta=ToleranceVector(tuple(min_error_theta)),
         seed=seed,
@@ -387,6 +603,14 @@ def _run_chain(
         trace=(),
         runs=(),
     ), trace
+
+
+def _step_records(columns: tuple) -> tuple[StepRecord, ...]:
+    cost_mode, cost, error, accepted, delta_e = (np.asarray(c).tolist() for c in columns)
+    return tuple(
+        StepRecord(MODE_COST if m else MODE_ERROR, c, e, bool(a), d)
+        for m, c, e, a, d in zip(cost_mode, cost, error, accepted, delta_e)
+    )
 
 
 def anneal(
@@ -406,18 +630,17 @@ def anneal(
     :class:`RunSummary` per chain attached.  ``max_steps`` extends a chain
     beyond the ``num_steps`` beta ramp, continuing at ``beta_max``.
     """
-    if eps_target <= 0:
-        raise ValueError(f"error target must be positive, got {eps_target}")
+    if not eps_target > 0:  # NaN fails too
+        raise ValueError(f"error target must be a positive number, got {eps_target}")
     compiled = _validated(model, binding)
-    evaluator = ChainEvaluator(compiled)
     start = _initial_theta(compiled.dimension, config, theta_init)
 
     best: AnnealResult | None = None
-    best_trace: list[tuple] = []
+    best_trace: tuple = ()
     summaries: list[RunSummary] = []
     for chain in range(config.restarts):
         result, trace = _run_chain(
-            evaluator, eps_target, config, config.seed + chain, start, record_trace,
+            compiled, eps_target, config, config.seed + chain, start, record_trace,
             max_steps=max_steps,
         )
         summaries.append(result.summary())
@@ -428,9 +651,7 @@ def anneal(
         ):
             best, best_trace = result, trace
     assert best is not None
-    return replace(
-        best, trace=tuple(StepRecord(*row) for row in best_trace), runs=tuple(summaries)
-    )
+    return replace(best, trace=_step_records(best_trace), runs=tuple(summaries))
 
 
 def find_feasible(
@@ -448,6 +669,8 @@ def find_feasible(
     the ramp is exhausted.  Raises :class:`InfeasibleError` when the budget
     runs out, carrying the closest approach.
     """
+    if math.isnan(eps_target):
+        raise ValueError(f"error target must be a positive number, got {eps_target}")
     if eps_target <= 0:
         raise InfeasibleError(
             f"error target must be positive, got {eps_target}", math.inf, ()
@@ -456,7 +679,7 @@ def find_feasible(
     start = _initial_theta(compiled.dimension, config, theta_init)
     # mode 1 only: make any feasible state terminal
     result, _ = _run_chain(
-        ChainEvaluator(compiled),
+        compiled,
         eps_target,
         config,
         config.seed,
@@ -488,7 +711,7 @@ def measure_acceptance(
     pilot = replace(config, num_steps=pilot_steps, restarts=1, seed=seed)
     start = _initial_theta(compiled.dimension, pilot, None)
     result, _ = _run_chain(
-        ChainEvaluator(compiled), eps_target, pilot, seed, start, record_trace=False
+        compiled, eps_target, pilot, seed, start, record_trace=False
     )
     return result.acceptance_rate
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import numbers
 import statistics
 import time
 from dataclasses import asdict, dataclass, replace
@@ -39,6 +40,7 @@ from .anneal import (
     AnnealConfig,
     InfeasibleError,
     anneal,
+    chain_engine,
     find_feasible,
     tune_delta,
     warm_start,
@@ -70,8 +72,15 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         if not self.targets:
             raise ValueError("error-target sweep must not be empty")
-        if any(t <= 0 for t in self.targets):
-            raise ValueError("error targets must be positive")
+        for t in self.targets:
+            if not t > 0:  # NaN fails too
+                raise ValueError(f"error targets must be positive numbers, got {t}")
+        for name, unset in (("feasibility_max_steps", ""), ("optimize_max_steps", "None or ")):
+            value = getattr(self, name)
+            if value is None and unset:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be {unset}an integer >= 1, got {value!r}")
         if any(b >= a for a, b in zip(self.targets, self.targets[1:])):
             raise ValueError("error targets must be strictly decreasing")
         parent = Path(self.out_path).resolve().parent
@@ -198,9 +207,9 @@ def _redundancy_row(spec: ExperimentSpec, eps: float, k: int, models, done, meta
     [(compiled, binding, config)] = models
     # feasibility time grows roughly quadratically with the parameter
     # count, so give larger problems a longer post-ramp budget
-    budget = spec.optimize_max_steps or max(
-        spec.anneal.num_steps, 40_000, 25 * binding.dimension**2
-    )
+    budget = spec.optimize_max_steps
+    if budget is None:
+        budget = max(spec.anneal.num_steps, 40_000, 25 * binding.dimension**2)
     meta.setdefault("step_budgets", []).append(budget)
     result = anneal(compiled, binding, eps, config, record_trace=False, max_steps=budget)
     if not result.feasible:
@@ -349,6 +358,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         "redundancies": list(spec.redundancies),
         "feasibility_max_steps": spec.feasibility_max_steps,
         "row_seeds": seeds,
+        "chain_engine": chain_engine(),
         "columns": list(study.header),
         "csv": csv_path.name,
     }

@@ -15,8 +15,9 @@ the fully unrolled instance list and serves as the brute-force oracle for the
 recursive evaluators.  The optimizer's hot loops
 run over :class:`CompiledModel`, one node table compiled from the tree, with
 two passes over it: :meth:`CompiledModel.evaluate` evaluates batches of
-tolerance vectors, and :class:`ChainEvaluator` re-evaluates incrementally as a
-chain changes one tolerance entry at a time.
+tolerance vectors, and the chain kernel of :mod:`errorbudget.anneal` re-evaluates
+incrementally as a chain changes one tolerance entry at a time;
+:class:`ChainEvaluator` is its Python reference.
 
 Tolerance slots are plain string identifiers.  A :class:`ParameterBinding`
 partitions the slots appearing in a tree into named groups; the optimization
@@ -26,6 +27,7 @@ of the optimization problem without changing the tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -514,8 +516,6 @@ class CompiledModel:
       none); constant multiplicities are stored already rounded,
       and ``needs_eps[i]`` tells whether any edge depends on the node's own
       tolerance;
-    * ``parent[i]`` (``-1`` for the root) and ``child_pos[i]``, the node's
-      position in ``children[parent[i]]``;
     * ``slot[i]``, the group of the node's own tolerance (a composite's
       decomposition error or a leaf's synthesis tolerance), ``-1`` if none;
     * ``leaf_law[i]``, the cost law ``(count, gates per log2(1/eps),
@@ -527,8 +527,9 @@ class CompiledModel:
       ancestors, in descending index order.
 
     :meth:`evaluate` is one children-first pass over the table, vectorised
-    over a batch; :class:`ChainEvaluator` repeats the pass incrementally,
-    over ``dirty[k]`` only.
+    over a batch; the chain kernel (over :attr:`chain_table`, the same table
+    as flat arrays) and :class:`ChainEvaluator` repeat the pass
+    incrementally, over ``dirty[k]`` only.
     """
 
     def __init__(self, tree: BudgetNode, binding: ParameterBinding) -> None:
@@ -540,21 +541,17 @@ class CompiledModel:
         nodes: list[BudgetNode] = []
         kids: list[list[int]] = []
         ancestors: list[tuple[int, ...]] = []
-        self.parent: list[int] = []
-        self.child_pos: list[int] = []
 
-        def visit(node: BudgetNode, path: tuple[int, ...], pos: int) -> None:
+        def visit(node: BudgetNode, path: tuple[int, ...]) -> None:
             idx = len(nodes)
             nodes.append(node)
             kids.append([])
             ancestors.append(path)
-            self.parent.append(path[-1] if path else -1)
-            self.child_pos.append(pos)
-            for k, edge in enumerate(node.children):
+            for edge in node.children:
                 kids[idx].append(len(nodes))
-                visit(edge.node, path + (idx,), k)
+                visit(edge.node, path + (idx,))
 
-        visit(tree, (), 0)
+        visit(tree, ())
 
         n = len(nodes)
         self.n_nodes = n
@@ -611,6 +608,38 @@ class CompiledModel:
         )
         self.leaf_block = np.asarray([self.leaf_law[i] for i in self.leaves]).reshape(-1, 3)
         self.composites = [i for i in range(n - 1, -1, -1) if nodes[i].kind is NodeKind.COMPOSITE]
+
+    @functools.cached_property
+    def chain_table(self) -> dict[str, np.ndarray]:
+        """The table as flat arrays for the compiled chain kernel, built on first use.
+
+        Per node: ``slot``, ``needs_eps``, ``has_law`` and ``law`` (zeros for
+        nodes without one); the edges of node ``i`` are
+        ``kid_ptr[i]:kid_ptr[i + 1]`` of ``kid``, ``coeff``, ``nexp`` and
+        ``ceil``; the dirty nodes of group ``k`` are
+        ``dirty_ptr[k]:dirty_ptr[k + 1]`` of ``dirty``.  Integers are int64,
+        flags int8.
+        """
+
+        def offsets(parts) -> np.ndarray:
+            return np.concatenate(([0], np.cumsum([len(part) for part in parts]))).astype(np.int64)
+
+        return {
+            "slot": self.slot.astype(np.int64),
+            "needs_eps": np.asarray(self.needs_eps, dtype=np.int8),
+            "has_law": np.asarray([law is not None for law in self.leaf_law], dtype=np.int8),
+            "law": np.asarray([law or (0.0, 0.0, 0.0) for law in self.leaf_law], dtype=float),
+            "kid_ptr": offsets(self.children),
+            "kid": np.concatenate(self.children).astype(np.int64),
+            "coeff": np.concatenate(self.edge_coeff).astype(float),
+            "nexp": np.concatenate(self.edge_nexp).astype(float),
+            "ceil": np.concatenate([
+                np.zeros(kids.size, dtype=bool) if ceil is None else ceil
+                for kids, ceil in zip(self.children, self.edge_ceil)
+            ]).astype(np.int8),
+            "dirty_ptr": offsets(self.dirty),
+            "dirty": np.asarray([i for nodes in self.dirty for i in nodes], dtype=np.int64),
+        }
 
     def evaluate(self, theta: Sequence[float] | ToleranceVector | np.ndarray):
         """Return ``(cost, error)`` at one tolerance vector or a batch of them.
@@ -676,17 +705,14 @@ class ChainEvaluator:
     cached totals are always exactly what a fresh evaluation would produce,
     and reverting an update restores bit-identical state.
 
-    The tolerance entries and the aggregates are Python floats, so the scalar
-    arithmetic of an update (leaf laws, single-child composites, a node's own
-    decomposition error) skips numpy-scalar overhead; IEEE-754 gives the same
-    results for the same operations in the same order.  Every other node
-    without a leaf law keeps its children's aggregates in a pair of numpy
-    buffers, written by each child when it is recomputed, so its sums are
-    ``m @ buffer`` with no gather.  Two steps stay numpy on purpose: the
-    dot product, because BLAS ``ddot`` may fuse multiply-adds where a Python
-    sum would not, and the multiplicity expression ``coeff * eps ** nexp``,
-    because ``np.power`` need not equal Python's ``**``.  Either rewrite could
-    change the last bit of a total, and with it a chain's accept decisions.
+    This is the reference for the compiled chain kernel (``_chain.c``), and
+    both do the same IEEE-754 operations in the same order on Python floats
+    or C doubles: each edge multiplicity is ``coeff * eps ** nexp`` with the
+    C library's ``pow`` (rounded up on ``CEIL`` edges), a leaf costs
+    ``count * max(0.0, gpl * log2(1.0 / eps) + offset)``, and a node's sums
+    run left to right over its children from ``0.0``.  No BLAS call and no
+    numpy ufunc is involved, so the totals do not depend on the machine's
+    vector kernels.
     """
 
     def __init__(self, compiled: CompiledModel) -> None:
@@ -695,23 +721,36 @@ class ChainEvaluator:
         self._theta: list[float] = [math.nan] * self.dimension
         self._cost = [0.0] * compiled.n_nodes
         self._err = [0.0] * compiled.n_nodes
-        # single children are read from _cost/_err, leaves have no children
-        self._kid_cost = [
-            None if law is not None or kids.size == 1 else np.zeros(kids.size)
-            for law, kids in zip(compiled.leaf_law, compiled.children)
-        ]
-        self._kid_err = [None if buf is None else np.zeros(buf.size) for buf in self._kid_cost]
-        # multiplicities are functions of the node's own slot only; cache them
-        # so updates of other slots skip the power evaluation
-        self._m_cache: list[np.ndarray | float | None] = [None] * compiled.n_nodes
         self._slot = compiled.slot.tolist()
+        self._kids = [kids.tolist() for kids in compiled.children]
+        self._coeff = [coeff.tolist() for coeff in compiled.edge_coeff]
+        self._nexp = [nexp.tolist() for nexp in compiled.edge_nexp]
+        self._ceil = [
+            [False] * len(kids) if ceil is None else ceil.tolist()
+            for kids, ceil in zip(self._kids, compiled.edge_ceil)
+        ]
+        self._m: list[list[float]] = []  # edge multiplicities at the node's tolerance
+
+    def _multiplicities(self, i: int) -> list[float]:
+        if not self._compiled.needs_eps[i]:
+            return self._coeff[i]
+        eps = self._theta[self._slot[i]]
+        out = []
+        for coeff, nexp, ceil in zip(self._coeff[i], self._nexp[i], self._ceil[i]):
+            try:
+                m = coeff * eps ** nexp
+            except OverflowError:  # where C's pow returns inf
+                m = coeff * math.inf
+            if ceil and m < math.inf:
+                m = float(math.ceil(m))
+            out.append(m)
+        return out
 
     def _refresh(self, nodes: Iterable[int], changed_slot: int) -> None:
         """Recompute ``nodes``, given children first, from their children."""
         table = self._compiled
-        theta, cost, err, m_cache = self._theta, self._cost, self._err, self._m_cache
-        slots, laws, kid_cost, kid_err = self._slot, table.leaf_law, self._kid_cost, self._kid_err
-        parent, child_pos, needs_eps = table.parent, table.child_pos, table.needs_eps
+        theta, cost, err, ms, kids = self._theta, self._cost, self._err, self._m, self._kids
+        slots, laws, needs_eps = self._slot, table.leaf_law, table.needs_eps
         for i in nodes:
             slot = slots[i]
             law = laws[i]
@@ -721,32 +760,16 @@ class ChainEvaluator:
                 c = count * max(0.0, gpl * math.log2(1.0 / eps) + off)
                 e = count * eps
             else:
-                m = m_cache[i]
-                if m is None or (slot == changed_slot and needs_eps[i]):
-                    m = table.edge_coeff[i]
-                    if needs_eps[i]:
-                        m = m * theta[slot] ** table.edge_nexp[i]
-                        ceil = table.edge_ceil[i]
-                        if ceil is not None:
-                            m = np.where(ceil, np.ceil(m), m)
-                    if kid_cost[i] is None:
-                        m = float(m[0])
-                    m_cache[i] = m
-                buf = kid_cost[i]
-                if buf is None:  # the only child, i + 1 in preorder
-                    c = m * cost[i + 1]
-                    e = m * err[i + 1]
-                else:  # childless nodes sum an empty buffer to 0.0
-                    c = float(m @ buf)
-                    e = float(m @ kid_err[i])
+                if slot == changed_slot and needs_eps[i]:
+                    ms[i] = self._multiplicities(i)
+                c = e = 0.0
+                for m, kid in zip(ms[i], kids[i]):
+                    c += m * cost[kid]
+                    e += m * err[kid]
                 if slot >= 0:
                     e += theta[slot]
             cost[i] = c
             err[i] = e
-            p = parent[i]
-            if p >= 0 and kid_cost[p] is not None:
-                kid_cost[p][child_pos[i]] = c
-                kid_err[p][child_pos[i]] = e
 
     def reset(self, theta: Sequence[float] | np.ndarray) -> tuple[float, float]:
         """Set the full tolerance vector and recompute everything.
@@ -768,7 +791,7 @@ class ChainEvaluator:
                 f"tolerance entries must lie strictly inside (0, 1)"
             )
         self._theta = theta.tolist()
-        self._m_cache = [None] * self._compiled.n_nodes
+        self._m = [self._multiplicities(i) for i in range(self._compiled.n_nodes)]
         self._refresh(range(self._compiled.n_nodes - 1, -1, -1), -1)
         return self.totals()
 
@@ -782,6 +805,3 @@ class ChainEvaluator:
 
     def totals(self) -> tuple[float, float]:
         return self._cost[0], self._err[0]
-
-    def theta(self) -> np.ndarray:
-        return np.array(self._theta)

@@ -270,18 +270,29 @@ class TestAnneal:
 
     # Recorded chain outcomes: a change to any single accept decision, such as
     # from reordered floating-point operations in an evaluator, moves them.
-    @pytest.mark.parametrize("n, preset, k, target, config, theta_init, expected", [
+    # Both chain engines must reproduce them.
+    PINNED = pytest.mark.parametrize("n, preset, k, target, config, theta_init, expected", [
         (10, "three_param", 0, 0.01, AnnealConfig(num_steps=3000, seed=4), None,
          (75539642406.88138, 2155, 2617 / 3000)),
         (30, "redundancy", 20, 0.1,
          AnnealConfig(num_steps=3000, seed=11, beta_max=100.0, delta=1.0),
          [0.05, 1e-4] + [1e-9] * 21, (2368734605.4811974, 1044, 2691 / 3000)),
     ])
-    def test_pinned_trajectories(self, n, preset, k, target, config, theta_init, expected):
+
+    @PINNED
+    def test_pinned_trajectories(
+        self, kernel_engine, n, preset, k, target, config, theta_init, expected
+    ):
         tree, binding = build_tfim_model(TfimConfig(n=n), preset, k)
         result = anneal(tree, binding, target, config, theta_init=theta_init,
                         record_trace=False)
         assert (result.best_cost, result.steps_to_feasible, result.acceptance_rate) == expected
+
+    @PINNED
+    def test_pinned_trajectories_reference_engine(
+        self, reference_engine, n, preset, k, target, config, theta_init, expected
+    ):
+        self.test_pinned_trajectories(None, n, preset, k, target, config, theta_init, expected)
 
     # (0.1, 1e-3, 1e-6) has error 0.86 on the n=4 three-parameter model
     @pytest.mark.parametrize("run", [
@@ -298,6 +309,12 @@ class TestAnneal:
             run(compile_model(tree, three_param), two_param)
         _, same = build_tfim_model(TfimConfig(n=4), "three_param")  # equal, not identical
         run(compile_model(tree, three_param), same)
+
+    @pytest.mark.parametrize("run", [anneal, find_feasible])
+    def test_nan_target_rejected(self, run):
+        tree, binding = single_leaf_problem()
+        with pytest.raises(ValueError, match="error target must be a positive number, got nan"):
+            run(tree, binding, math.nan, AnnealConfig(num_steps=10))
 
     def test_invalid_model_rejected(self):
         tree, _ = tfim_problem(n=4)

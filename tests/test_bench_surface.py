@@ -10,6 +10,7 @@ traces.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from errorbudget.anneal import AnnealConfig
@@ -47,6 +48,11 @@ def test_traced_items_reach_every_layer(tracing, tmp_path):
         anneal.anneal(tree, binding, 0.1, AnnealConfig(num_steps=200))
         axis = anneal.log_grid(1e-12, 1.0, 8)
         anneal.grid_search_reference(tree, binding, 0.1, [axis] * 3)
+        # chains run in the compiled kernel; the reference engine is the one
+        # that drives a ChainEvaluator, so run one chain there
+        anneal._run_chain(MODULES["model"].compile_model(tree, binding), 0.1,
+                          AnnealConfig(num_steps=50), 1, np.full(3, 0.1), record_trace=False,
+                          reference=True)
     assert experiments.anneal is original
     for name in ("experiments.run", "tfim.build", "model.validate", "model.compile",
                  "anneal.anneal", "anneal.find_feasible", "anneal.tune_delta",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,31 @@ class TestSpecValidation:
     def test_sweep_rejected_at_entry(self, tmp_path, kind, overrides, match):
         with pytest.raises(ValueError, match=match):
             small_spec(kind, tmp_path, **overrides).validate()
+
+    @pytest.mark.parametrize("kind, targets", [
+        ("cost_vs_eps", (1e-1, math.nan)),
+        ("granularity", (math.nan,)),
+        ("redundancy", (math.nan,)),
+    ])
+    def test_nan_target_rejected(self, tmp_path, kind, targets):
+        with pytest.raises(ValueError, match="error targets must be positive numbers, got nan"):
+            small_spec(kind, tmp_path, targets=targets).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("optimize_max_steps", 0), ("optimize_max_steps", -5), ("optimize_max_steps", 2.0),
+        ("optimize_max_steps", True), ("feasibility_max_steps", 0),
+        ("feasibility_max_steps", None), ("feasibility_max_steps", True),
+        ("feasibility_max_steps", 1000.0),
+    ])
+    def test_step_budgets_rejected_at_entry(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*integer >= 1, got {value!r}"):
+            small_spec("redundancy", tmp_path, **{field: value}).validate()
+
+    def test_smallest_optimize_budget_is_used(self, tmp_path):
+        spec = small_spec("redundancy", tmp_path, redundancies=(0,), optimize_max_steps=1,
+                          anneal=AnnealConfig(num_steps=100, restarts=1, seed=7))
+        meta = json.loads(run_experiment(spec).metadata_path.read_text())
+        assert meta["step_budgets"] == [1]
 
     def test_default_specs_validate(self, tmp_path):
         for kind in ("cost_vs_eps", "granularity", "redundancy", "runtime"):
@@ -190,7 +216,7 @@ class TestRedundancy:
             )
 
 
-    def test_pinned_row(self, tmp_path):
+    def test_pinned_row(self, kernel_engine, tmp_path):
         # Recorded CSV body and tuned widths: every chain and tuner pilot here
         # runs past several blocks of pre-drawn uniforms, so a change to the
         # order or number of draws per step, or to any chain state, moves them.
@@ -206,8 +232,8 @@ class TestRedundancy:
             "0,693162078.6557473,1.0,432,2814210527.9772553,4.059960310343099,"
             "0.09995276554040068,0.06970967088704358;3.8435170167437555e-05;"
             "4.5294042770198715e-10,0\n"
-            "10,936906776.9059833,1.3516417094295339,2038,1268580662.2193072,"
-            "1.3540094847094981,0.09711388693300281,0.06748975627837497;"
+            "10,936906776.9059833,1.3516417094295339,2038,1268580662.2193074,"
+            "1.3540094847094983,0.09711388693300281,0.06748975627837497;"
             "2.321060088322267e-05;1.849032002903288e-11;1.4887678202868218e-10;"
             "5.6787504623568e-09;8.24590489128922e-10;1.003889303860125e-09;"
             "1.172969653956562e-10;1.5116957897377347e-10;2.3519831118165775e-09;"
@@ -215,6 +241,9 @@ class TestRedundancy:
         )
         meta = json.loads(result.metadata_path.read_text())
         assert meta["tuned_deltas"] == [3.983833442288991, 4.0]
+
+    def test_pinned_row_reference_engine(self, reference_engine, tmp_path):
+        self.test_pinned_row(None, tmp_path)
 
 
 class TestRuntime:

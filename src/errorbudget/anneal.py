@@ -28,11 +28,7 @@ import json
 import math
 import numbers
 import os
-import platform
-import shutil
 import sys
-import tempfile
-import zlib
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -339,12 +335,15 @@ def _cache_dir() -> Path:
 
 
 def _find_compiler() -> str | None:
+    import shutil
+
     return shutil.which("cc")
 
 
 def _compile_kernel(compiler: str, source: bytes, target: Path) -> None:
     """Build the kernel into a private temp file, then move it to ``target``."""
     import subprocess
+    import tempfile
 
     fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=target.parent)
     os.close(fd)
@@ -364,6 +363,9 @@ def _compile_kernel(compiler: str, source: bytes, target: Path) -> None:
 
 def _load_kernel():
     """Load the kernel library from the cache, building it there if needed."""
+    import platform
+    import zlib
+
     source = (Path(__file__).parent / "_chain.c").read_bytes()
     built = source + repr((_CFLAGS, sys.platform, platform.machine(), platform.libc_ver())).encode()
     # two 32-bit checksums make the key: hashlib would load OpenSSL, several
@@ -372,7 +374,7 @@ def _load_kernel():
     directory = _cache_dir()
     directory.mkdir(mode=0o700, parents=True, exist_ok=True)
     info = directory.stat()
-    if info.st_uid != os.getuid():
+    if hasattr(os, "getuid") and info.st_uid != os.getuid():
         raise OSError(f"cache directory {directory} belongs to another user")
     if info.st_mode & 0o077:
         directory.chmod(0o700)
@@ -400,15 +402,16 @@ def _bind(library):
 def _chain_kernel():
     """The compiled chain kernel, built on the first chain; ``None`` if unavailable.
 
-    The modules only the build needs are imported here, so that importing the
-    package does not pay for them.
+    Any failure to find, build or load it (no compiler, no cache directory,
+    no home directory) leaves chains to the Python engine and says so once.
+    The modules only the build needs are imported where it needs them, so
+    that importing the package does not pay for them.
     """
-    import logging
-    import subprocess
-
     try:
         return _load_kernel()
-    except (OSError, subprocess.SubprocessError) as exc:
+    except Exception as exc:  # every failure falls back the same way
+        import logging
+
         logging.getLogger("errorbudget").warning(
             "errorbudget: compiled chain kernel unavailable (%s); "
             "chains run in the slower Python chain engine", exc,
@@ -560,16 +563,15 @@ def _run_chain(
     record_trace: bool,
     stop_at_feasible: bool = False,
     max_steps: int | None = None,
-    reference: bool = False,
 ) -> tuple[AnnealResult, tuple]:
     """Run one chain; return its result (without trace) and its trace columns.
 
     Each step consumes four uniforms of the chain's stream, in the order
     index, direction, factor, accept; they are drawn in blocks of up to
     ``_BLOCK_STEPS`` steps, which yields the same values as one scalar draw
-    each.  The chain runs in the compiled kernel unless ``reference`` is set
-    or the kernel is unavailable; the Python loop of
-    :func:`_reference_chain` is the same chain, bit for bit.  The trace
+    each.  The chain runs in the compiled kernel unless it is unavailable;
+    the Python loop of :func:`_reference_chain` is the same chain, bit for
+    bit.  The trace
     columns hold per step whether it ran in cost mode, and the cost, error,
     accepted flag and ``delta_e`` after it.
     """
@@ -578,7 +580,7 @@ def _run_chain(
         total_steps = 0  # nothing to optimize
     block_steps = min(total_steps, _BLOCK_STEPS)
     rng = np.random.default_rng(seed)
-    kernel = None if reference else _chain_kernel()
+    kernel = _chain_kernel()
     engine = _reference_chain if kernel is None else functools.partial(_kernel_chain, kernel)
     (
         best_theta, best_cost, best_error, first_theta, first_cost, steps_to_feasible,

@@ -10,7 +10,6 @@ traces.
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from errorbudget.anneal import AnnealConfig
@@ -30,7 +29,7 @@ def tracing():
     return module
 
 
-def test_traced_items_reach_every_layer(tracing, tmp_path):
+def test_traced_items_reach_every_layer(tracing, tmp_path, monkeypatch):
     anneal, experiments, tfim = MODULES["anneal"], MODULES["experiments"], MODULES["tfim"]
     original = experiments.anneal
     tracer = tracing.Tracer()
@@ -50,9 +49,9 @@ def test_traced_items_reach_every_layer(tracing, tmp_path):
         anneal.grid_search_reference(tree, binding, 0.1, [axis] * 3)
         # chains run in the compiled kernel; the reference engine is the one
         # that drives a ChainEvaluator, so run one chain there
-        anneal._run_chain(MODULES["model"].compile_model(tree, binding), 0.1,
-                          AnnealConfig(num_steps=50), 1, np.full(3, 0.1), record_trace=False,
-                          reference=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(anneal, "_chain_kernel", lambda: None)
+            anneal.anneal(tree, binding, 0.1, AnnealConfig(num_steps=50))
     assert experiments.anneal is original
     for name in ("experiments.run", "tfim.build", "model.validate", "model.compile",
                  "anneal.anneal", "anneal.find_feasible", "anneal.tune_delta",

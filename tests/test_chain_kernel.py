@@ -144,6 +144,37 @@ def test_fallback_without_compiler(kernel_engine, monkeypatch, tmp_path, caplog)
     assert all(repr(result) == repr(expected) for result in results)
 
 
+def test_fallback_without_home_directory(kernel_engine, monkeypatch, caplog):
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    tree, binding = build_tfim_model(TfimConfig(n=6))
+    config = AnnealConfig(num_steps=500, restarts=3, seed=5)
+    expected = anneal(tree, binding, 0.05, config)
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setattr(Path, "home", no_home)
+    ANNEAL._chain_kernel.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger="errorbudget"):
+            results = [anneal(tree, binding, 0.05, config) for _ in range(2)]
+        assert chain_engine() == "python"
+    finally:
+        ANNEAL._chain_kernel.cache_clear()
+    [record] = [r for r in caplog.records if r.name == "errorbudget"]
+    assert "home directory" in record.getMessage()
+    assert all(repr(result) == repr(expected) for result in results)
+
+
+def test_kernel_builds_where_os_has_no_getuid(kernel_engine, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # an empty cache
+    monkeypatch.delattr(os, "getuid")
+    ANNEAL._chain_kernel.cache_clear()
+    try:
+        assert chain_engine() == "c"
+    finally:
+        ANNEAL._chain_kernel.cache_clear()
+
+
 def test_cache_reuses_and_rebuilds(kernel_engine, monkeypatch, tmp_path):
     builds = []
     compile_kernel = ANNEAL._compile_kernel
@@ -232,6 +263,8 @@ def test_import_builds_nothing_and_fallback_says_so_once(tmp_path):
 def test_pinned_chains_do_not_depend_on_the_blas_kernel():
     # The reference engine once summed with BLAS ddot, whose last bit depends
     # on the vector kernel OpenBLAS picks for the host; neither engine may.
+    # Without a compiler the kernel halves of the pinned tests skip.
+    expected = "6 passed" if ANNEAL._find_compiler() else "3 passed, 3 skipped"
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", "pinned",
          "tests/test_experiments.py::TestRedundancy", "tests/test_anneal.py::TestAnneal"],
@@ -239,4 +272,4 @@ def test_pinned_chains_do_not_depend_on_the_blas_kernel():
         env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
     )
     assert proc.returncode == 0, proc.stdout[-3000:]
-    assert "6 passed" in proc.stdout, proc.stdout[-3000:]
+    assert expected in proc.stdout, proc.stdout[-3000:]

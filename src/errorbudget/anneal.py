@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -329,6 +330,20 @@ def _initial_theta(
     return arr
 
 
+def _check_max_steps(max_steps) -> None:
+    if max_steps is not None and (
+        isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral) or max_steps < 1
+    ):
+        raise ValueError(f"max_steps must be None or an integer >= 1, got {max_steps!r}")
+
+
+def _step_budget(compiled: CompiledModel, config: AnnealConfig, max_steps: int | None) -> int:
+    """Steps a chain runs: ``max_steps``, by default ``num_steps``; none at dimension 0."""
+    if compiled.dimension == 0:
+        return 0  # nothing to optimize
+    return config.num_steps if max_steps is None else max_steps
+
+
 def _cache_dir() -> Path:
     root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
     return Path(root) / "errorbudget"
@@ -388,7 +403,14 @@ def _load_kernel():
     if compiler is None:
         raise OSError("no C compiler (cc) on PATH")
     _compile_kernel(compiler, source, target)
-    return _bind(ctypes.CDLL(str(target)))
+    kernel = _bind(ctypes.CDLL(str(target)))
+    for stale in directory.glob("_chain-*.so"):  # builds of another source, flags or platform
+        if stale != target:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
+    return kernel
 
 
 def _bind(library):
@@ -575,9 +597,7 @@ def _run_chain(
     columns hold per step whether it ran in cost mode, and the cost, error,
     accepted flag and ``delta_e`` after it.
     """
-    total_steps = config.num_steps if max_steps is None else max(max_steps, 0)
-    if compiled.dimension == 0:
-        total_steps = 0  # nothing to optimize
+    total_steps = _step_budget(compiled, config, max_steps)
     block_steps = min(total_steps, _BLOCK_STEPS)
     rng = np.random.default_rng(seed)
     kernel = _chain_kernel()
@@ -634,6 +654,7 @@ def anneal(
     """
     if not eps_target > 0:  # NaN fails too
         raise ValueError(f"error target must be a positive number, got {eps_target}")
+    _check_max_steps(max_steps)
     compiled = _validated(model, binding)
     start = _initial_theta(compiled.dimension, config, theta_init)
 
@@ -677,6 +698,7 @@ def find_feasible(
         raise InfeasibleError(
             f"error target must be positive, got {eps_target}", math.inf, ()
         )
+    _check_max_steps(max_steps)
     compiled = _validated(model, binding)
     start = _initial_theta(compiled.dimension, config, theta_init)
     # mode 1 only: make any feasible state terminal
@@ -692,7 +714,7 @@ def find_feasible(
     )
     if result.first_feasible_theta is None:
         raise InfeasibleError(
-            f"no feasible point within {max_steps or config.num_steps} steps "
+            f"no feasible point within {_step_budget(compiled, config, max_steps)} steps "
             f"(closest error {result.min_error:.6g} vs target {eps_target:.6g})",
             result.min_error,
             result.min_error_theta.values,
@@ -808,6 +830,24 @@ def log_grid(lo: float, hi: float, points: int) -> np.ndarray:
     return np.geomspace(lo, hi, points + 1)[:-1]
 
 
+def _grid_blocks(sizes: Sequence[int], chunk: int):
+    """Index blocks of a grid of axis ``sizes``, in grid order, of at most ``chunk`` points.
+
+    Axis ``split`` is the first whose trailing axes fit in ``chunk`` points
+    together; a block takes one value of each axis before it, a run of
+    values of it, and every value of the axes after it.
+    """
+    if not sizes:
+        yield ()
+        return
+    split = next(k for k in range(len(sizes)) if math.prod(sizes[k + 1:]) <= chunk)
+    run = chunk // math.prod(sizes[split + 1:])
+    whole = (slice(None),) * (len(sizes) - split - 1)
+    for lead in itertools.product(*map(range, sizes[:split])):
+        for start in range(0, sizes[split], run):
+            yield tuple(slice(i, i + 1) for i in lead) + (slice(start, start + run),) + whole
+
+
 def grid_search_reference(
     model: BudgetNode | CompiledModel,
     binding: ParameterBinding,
@@ -820,40 +860,55 @@ def grid_search_reference(
 
     Returns the cheapest feasible grid point, deterministically (ties go to
     the lexicographically first point in grid order).  Only intended for low
-    dimensions; refuses grids beyond ``max_points``.
+    dimensions; refuses grids beyond ``max_points``.  The grid is never
+    materialised: the compiled model is evaluated on the axes themselves,
+    reshaped to broadcast against each other, in blocks of at most ``chunk``
+    points.
     """
     compiled = _validated(model, binding)
-    axes = [np.asarray(axis, dtype=float) for axis in grid]
+    axes = [np.asarray(axis, dtype=float).ravel() for axis in grid]
     if len(axes) != compiled.dimension:
         raise ValueError(
             f"grid has {len(axes)} axes, binding has {compiled.dimension} groups"
         )
     if compiled.dimension > 4:
         raise ValueError("grid search reference supports at most 4 dimensions")
-    total = math.prod(axis.size for axis in axes)
+    if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
+        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
+    sizes = [axis.size for axis in axes]
+    total = math.prod(sizes)
     if total > max_points:
         raise ValueError(f"grid has {total} points, budget is {max_points}")
     if total == 0:
         raise InfeasibleError("grid is empty", math.inf, ())
+    for k, axis in enumerate(axes):
+        bad = np.flatnonzero(~((axis >= EPSILON_FLOOR) & (axis < 1.0)))  # NaN fails both
+        if bad.size:
+            raise EvaluationError(
+                f"grid axis {k} has entry {axis[bad[0]]}; entries must lie in [{EPSILON_FLOOR}, 1)"
+            )
 
-    mesh = np.stack(
-        [m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1
-    )
     best_cost = math.inf
-    best_point: np.ndarray | None = None
-    for start in range(0, total, chunk):
-        block = mesh[start : start + chunk]
-        costs, errors = compiled.evaluate(block)
-        feasible = errors <= eps_target
+    best_point: list[float] | None = None
+    for block in _grid_blocks(sizes, chunk):
+        columns = [
+            axis[part].reshape((-1,) + (1,) * (len(axes) - 1 - k))
+            for k, (axis, part) in enumerate(zip(axes, block))
+        ]
+        shape = tuple(column.shape[0] for column in columns)
+        costs, errors = compiled.evaluate_columns(columns)
+        costs = np.broadcast_to(costs, shape).ravel()
+        feasible = np.broadcast_to(errors, shape).ravel() <= eps_target
         if not np.any(feasible):
             continue
         costs = np.where(feasible, costs, math.inf)
         idx = int(np.argmin(costs))
         if costs[idx] < best_cost:
             best_cost = float(costs[idx])
-            best_point = block[idx].copy()
+            where = np.unravel_index(idx, shape)
+            best_point = [column.item(i) for column, i in zip(columns, where)]
     if best_point is None:
         raise InfeasibleError(
             f"no feasible grid point for target {eps_target:.6g}", math.inf, ()
         )
-    return ToleranceVector(tuple(float(v) for v in best_point)), best_cost
+    return ToleranceVector(tuple(best_point)), best_cost

@@ -521,14 +521,14 @@ class CompiledModel:
     * ``leaf_law[i]``, the cost law ``(count, gates per log2(1/eps),
       offset)`` of a leaf with gates as Python floats, ``None`` for other
       nodes; leaves without gates cost nothing, err nothing and have no slot;
-      ``leaves`` lists the nodes with a law and ``leaf_block`` stacks their
-      laws as rows, for the batch pass;
     * per group ``k``, ``dirty[k]``: the nodes bound to ``k`` and their
       ancestors, in descending index order.
 
-    :meth:`evaluate` is one children-first pass over the table, vectorised
-    over a batch; the chain kernel (over :attr:`chain_table`, the same table
-    as flat arrays) and :class:`ChainEvaluator` repeat the pass
+    :meth:`evaluate_columns` is one children-first pass over the table (and
+    :attr:`leaf_groups`), vectorised over one column of tolerances per
+    group; :meth:`evaluate` runs it on a batch of vectors and the grid
+    oracle on grid axes.  The chain kernel (over :attr:`chain_table`, the
+    same table as flat arrays) and :class:`ChainEvaluator` repeat the pass
     incrementally, over ``dirty[k]`` only.
     """
 
@@ -603,11 +603,19 @@ class CompiledModel:
             self.edge_ceil.append(np.asarray(ceil, dtype=bool) if any(ceil) else None)
             self.needs_eps.append(needs_eps)
         self.dirty = [sorted(nodes_of_k, reverse=True) for nodes_of_k in dirty]
-        self.leaves = np.asarray(
-            [i for i, law in enumerate(self.leaf_law) if law is not None], dtype=np.intp
-        )
-        self.leaf_block = np.asarray([self.leaf_law[i] for i in self.leaves]).reshape(-1, 3)
         self.composites = [i for i in range(n - 1, -1, -1) if nodes[i].kind is NodeKind.COMPOSITE]
+
+    @functools.cached_property
+    def leaf_groups(self) -> list[tuple[int, list[int], np.ndarray]]:
+        """Per group ``k`` with leaves, ``(k, its leaves, their laws as rows)``; built when used."""
+        leaves_of: dict[int, list[int]] = {}
+        for i, law in enumerate(self.leaf_law):
+            if law is not None:
+                leaves_of.setdefault(int(self.slot[i]), []).append(i)
+        return [
+            (k, nodes, np.asarray([self.leaf_law[i] for i in nodes]))
+            for k, nodes in sorted(leaves_of.items())
+        ]
 
     @functools.cached_property
     def chain_table(self) -> dict[str, np.ndarray]:
@@ -662,31 +670,50 @@ class CompiledModel:
         if np.any(arr <= 0.0) or np.any(arr >= 1.0):
             raise EvaluationError("tolerance entries must lie strictly inside (0, 1)")
 
-        by_group = arr.T
-        cost = np.zeros((self.n_nodes, arr.shape[0]))
-        error = np.zeros_like(cost)
-        leaves = self.leaves
-        if leaves.size:
-            count, gpl, off = self.leaf_block.T[:, :, None]
-            eps = by_group[self.slot[leaves]]
+        costs, errors = self.evaluate_columns(list(np.ascontiguousarray(arr.T)))
+        costs = np.broadcast_to(costs, arr.shape[:1])
+        errors = np.broadcast_to(errors, arr.shape[:1])
+        if single:
+            return float(costs[0]), float(errors[0])
+        return costs.copy(), errors.copy()
+
+    def evaluate_columns(self, columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Root ``(cost, error)`` with the tolerances of group ``k`` in ``columns[k]``.
+
+        The columns are arrays that broadcast against each other, and so are
+        the results: a batch of vectors gives one column per group, a grid
+        one axis per group reshaped to its own dimension.  Leaf ``log2`` and
+        edge multiplicities are computed per column entry, each node's
+        totals on the broadcast of its subtree's columns, and children are
+        summed left to right.  Entries are not checked: they must lie
+        strictly inside (0, 1).
+        """
+        cost: list = [0.0] * self.n_nodes
+        error: list = [0.0] * self.n_nodes
+        for k, nodes, laws in self.leaf_groups:
+            eps = columns[k]
+            count, gpl, off = laws.T.reshape((3, -1) + (1,) * eps.ndim)
             unit = np.maximum(0.0, gpl * np.log2(1.0 / eps) + off)
-            cost[leaves] = count * unit
-            error[leaves] = count * eps
+            for i, leaf_cost, leaf_error in zip(nodes, count * unit, count * eps):
+                cost[i], error[i] = leaf_cost, leaf_error
         for i in self.composites:
             slot = self.slot[i]
-            children = self.children[i]
-            m = self.edge_coeff[i][:, None]
-            if self.needs_eps[i]:
-                m = m * by_group[slot] ** self.edge_nexp[i][:, None]
-                ceil = self.edge_ceil[i]
-                if ceil is not None:
-                    m = np.where(ceil[:, None], np.ceil(m), m)
-            cost[i] = (m * cost[children]).sum(axis=0)
-            error[i] = (m * error[children]).sum(axis=0)
+            ceil = self.edge_ceil[i]
+            for e, child in enumerate(self.children[i]):
+                m = self.edge_coeff[i][e]
+                if self.needs_eps[i]:
+                    # the exponent as a scalar: numpy then runs the same power
+                    # loop over the column whatever its length
+                    m = m * np.power(columns[slot], self.edge_nexp[i][e])
+                    if ceil is not None and ceil[e]:
+                        m = np.ceil(m)
+                if e == 0:
+                    cost[i], error[i] = m * cost[child], m * error[child]
+                else:
+                    cost[i] = cost[i] + m * cost[child]
+                    error[i] = error[i] + m * error[child]
             if slot >= 0:
-                error[i] += by_group[slot]
-        if single:
-            return float(cost[0, 0]), float(error[0, 0])
+                error[i] = error[i] + columns[slot]
         return cost[0], error[0]
 
 

@@ -8,13 +8,17 @@ step-count scaling of split-step approximations to Ising time evolution that
 motivates modelling the step count as ``1/sqrt(tolerance)``.
 
 Matrices are plain complex numpy arrays of dimension ``2**n`` with ``n <= 6``;
-this module is an oracle, not a simulator.
+this module is an oracle, not a simulator.  Randomized composition trials run
+as stacks of matrices, a bounded block at a time: numpy's stacked ``qr``,
+``matmul`` and ``svd`` treat each matrix of a stack as they treat it alone,
+so a block reports what a trial-by-trial loop reports, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,12 +36,22 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value of a dense matrix."""
-    arr = np.asarray(matrix, dtype=complex)
+#: Complex entries per stacked array of a block of composition trials
+#: (1 MiB): the block holds as many trials as fit, at least one.
+_TRIAL_BLOCK_ENTRIES = 1 << 16
+
+
+def _largest_singular_values(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (one ``svd`` call)."""
+    arr = np.asarray(stack, dtype=complex)
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise MatrixDomainError("matrix contains non-finite entries")
-    return float(np.linalg.svd(arr, compute_uv=False)[0])
+    return np.linalg.svd(arr, compute_uv=False)[..., 0]
+
+
+def spectral_norm(matrix: np.ndarray) -> float:
+    """Largest singular value of a dense matrix."""
+    return float(_largest_singular_values(matrix))
 
 
 def rz(theta: float) -> np.ndarray:
@@ -63,24 +77,70 @@ def is_unitary(matrix: np.ndarray, tol: float = 1e-10) -> bool:
     return spectral_norm(arr.conj().T @ arr - eye) <= tol
 
 
+def _haar(normals: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of real and imaginary Gaussian parts.
+
+    ``normals`` has shape ``(..., 2, d, d)``; one stacked QR factors every
+    complex Gaussian matrix, and the R diagonal's phases are divided out.
+    """
+    q, r = np.linalg.qr(normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(dimension: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix.
 
     The R diagonal's phases are divided out so the distribution is exactly
     Haar rather than QR-convention dependent.
     """
-    z = rng.standard_normal((dimension, dimension)) + 1j * rng.standard_normal(
-        (dimension, dimension)
-    )
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar(rng.standard_normal((2, dimension, dimension)))
 
 
 def _embed_single_qubit(gate: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     left = np.eye(2**qubit)
     right = np.eye(2 ** (n_qubits - qubit - 1))
     return np.kron(np.kron(left, gate), right)
+
+
+def _rotation_draw(n_qubits: int, eps: float, rng: np.random.Generator) -> tuple[int, complex]:
+    """Qubit and ``rz`` phase ``exp(-i phi/2)`` of a z-rotation at distance ``~eps``.
+
+    The realised distance is uniform in ``[0.9 eps, eps]``; the angle is
+    solved from the closed form ``2 |sin(phi/4)|``.  Both are computed on
+    scalars, as :func:`rz` does: numpy's vector kernels may round the last
+    bit differently.
+    """
+    qubit = int(rng.integers(n_qubits))
+    realised = rng.uniform(0.9 * eps, eps)
+    return qubit, np.exp(-0.5j * (4.0 * math.asin(realised / 2.0)))
+
+
+def _embedded_rotations(qubits: np.ndarray, phases: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Dense ``2**n``-dimensional z-rotations, one per (qubit, phase) pair.
+
+    Entry ``(j, j)`` is the phase where bit ``qubit`` of ``j`` (most
+    significant first) is 0 and its conjugate where it is 1, the diagonal
+    of ``rz`` embedded on that qubit.
+    """
+    qubits = np.asarray(qubits)
+    phases = np.asarray(phases, dtype=complex)
+    index = np.arange(2**n_qubits)
+    upper = (index >> (n_qubits - 1 - qubits)[..., None]) & 1
+    out = np.zeros(upper.shape + (index.size,), dtype=complex)
+    out[..., index, index] = np.where(upper == 1, np.conj(phases)[..., None], phases[..., None])
+    return out
+
+
+def _check_dimension(dimension) -> None:
+    if (isinstance(dimension, bool) or not isinstance(dimension, numbers.Integral)
+            or dimension < 2 or dimension & (dimension - 1)):
+        raise MatrixDomainError(f"dimension must be a power of two >= 2, got {dimension!r}")
+
+
+def _check_budget(name: str, eps: float) -> None:
+    if not 0.0 <= eps < 2.0:  # NaN fails too
+        raise MatrixDomainError(f"{name} must lie in [0, 2), got {eps}")
 
 
 def perturb_unitary(
@@ -94,18 +154,13 @@ def perturb_unitary(
     would only bound it approximately).
     """
     arr = np.asarray(unitary, dtype=complex)
-    dimension = arr.shape[0]
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MatrixDomainError(f"expected a square matrix, got shape {arr.shape}")
-    if dimension & (dimension - 1) or dimension < 2:
-        raise MatrixDomainError(f"dimension must be a power of two >= 2, got {dimension}")
-    if not 0.0 <= eps < 2.0:
-        raise MatrixDomainError(f"perturbation size must lie in [0, 2), got {eps}")
-    n_qubits = dimension.bit_length() - 1
-    qubit = int(rng.integers(n_qubits))
-    realised = rng.uniform(0.9 * eps, eps)
-    phi = 4.0 * math.asin(realised / 2.0)
-    return arr @ _embed_single_qubit(rz(phi), qubit, n_qubits)
+    _check_dimension(arr.shape[0])
+    _check_budget("perturbation size", eps)
+    n_qubits = arr.shape[0].bit_length() - 1
+    qubit, phase = _rotation_draw(n_qubits, eps, rng)
+    return arr @ _embedded_rotations(qubit, phase, n_qubits)
 
 
 @dataclass(frozen=True)
@@ -149,8 +204,17 @@ def verify_composition_bound(
     For each trial, draws ``length`` Haar factors, perturbs factor ``i`` by
     ``epsilons[i]``, and compares the spectral distance of the full products
     with ``sum(epsilons)``.
+
+    Each factor's randomness is drawn in the order :func:`random_unitary`
+    then :func:`perturb_unitary` would draw it, so the report is the one
+    those calls give trial by trial; the matrix work runs on stacks, a
+    bounded block of trials at a time.
     """
-    if np.isscalar(epsilons):
+    for name, value in (("trials", trials), ("length", length)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise MatrixDomainError(f"{name} must be an integer >= 1, got {value!r}")
+    _check_dimension(dimension)
+    if np.ndim(epsilons) == 0:
         eps_list = tuple(float(epsilons) for _ in range(length))
     else:
         eps_list = tuple(float(e) for e in epsilons)
@@ -158,30 +222,43 @@ def verify_composition_bound(
             raise MatrixDomainError(
                 f"got {len(eps_list)} budgets for {length} factors"
             )
+    for i, eps in enumerate(eps_list):
+        _check_budget(f"epsilons[{i}]", eps)
     budget = sum(eps_list)
+
+    n_qubits = int(dimension).bit_length() - 1
+    block = max(1, _TRIAL_BLOCK_ENTRIES // (length * dimension * dimension))
+    normals = np.empty((min(block, trials), length, 2, dimension, dimension))
+    qubits = np.empty(normals.shape[:2], dtype=np.intp)
+    phases = np.empty(normals.shape[:2], dtype=complex)
+    identity = np.eye(dimension, dtype=complex)
 
     violations = 0
     max_ratio = 0.0
     ratio_sum = 0.0
-    for _ in range(trials):
-        exact = np.eye(dimension, dtype=complex)
-        approx = np.eye(dimension, dtype=complex)
-        for eps in eps_list:
-            u = random_unitary(dimension, rng)
-            v = perturb_unitary(u, eps, rng)
-            exact = u @ exact
-            approx = v @ approx
-        distance = spectral_norm(exact - approx)
-        if budget == 0.0:
-            ratio = 0.0
-            if distance > 1e-12:
-                violations += 1
-        else:
-            ratio = distance / budget
-            if distance > budget:
-                violations += 1
-        max_ratio = max(max_ratio, ratio)
-        ratio_sum += ratio
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        for t in range(size):
+            for i, eps in enumerate(eps_list):
+                rng.standard_normal(out=normals[t, i])
+                qubits[t, i], phases[t, i] = _rotation_draw(n_qubits, eps, rng)
+        exact_factors = _haar(normals[:size])
+        approx_factors = exact_factors @ _embedded_rotations(qubits[:size], phases[:size], n_qubits)
+        exact = approx = np.repeat(identity[None], size, axis=0)
+        for i in range(length):
+            exact = exact_factors[:, i] @ exact
+            approx = approx_factors[:, i] @ approx
+        for distance in _largest_singular_values(exact - approx).tolist():
+            if budget == 0.0:
+                ratio = 0.0
+                if distance > 1e-12:
+                    violations += 1
+            else:
+                ratio = distance / budget
+                if distance > budget:
+                    violations += 1
+            max_ratio = max(max_ratio, ratio)
+            ratio_sum += ratio
     return CompositionReport(
         trials=trials,
         length=length,
@@ -189,7 +266,7 @@ def verify_composition_bound(
         epsilons=eps_list,
         violations=violations,
         max_ratio=max_ratio,
-        mean_ratio=ratio_sum / trials if trials else 0.0,
+        mean_ratio=ratio_sum / trials,
     )
 
 
@@ -301,10 +378,16 @@ def trotter_error(spec: IsingEvolutionSpec) -> float:
 def trotter_error_sweep(
     spec: IsingEvolutionSpec, step_counts: Sequence[int]
 ) -> list[tuple[int, float]]:
-    """Errors of the same problem at several step counts."""
-    from dataclasses import replace
+    """Errors of the same problem at several step counts.
 
-    return [(m, trotter_error(replace(spec, steps=m))) for m in step_counts]
+    The exact evolution does not depend on the step count, so the
+    Hamiltonian is built and diagonalised once for the whole sweep.
+    """
+    exact = exact_propagator(spec)
+    return [
+        (m, spectral_norm(exact - split_step_propagator(replace(spec, steps=m))))
+        for m in step_counts
+    ]
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:

@@ -24,12 +24,15 @@ from errorbudget.model import (
     EvaluationError,
     LeafCost,
     Multiplicity,
+    NodeKind,
     ParameterBinding,
+    Rounding,
     compile_model,
     total_cost,
     total_error,
 )
 from errorbudget.tfim import TfimConfig, build_tfim_model
+from test_model import as_continuous, random_tree
 
 
 class ScriptedRng:
@@ -366,6 +369,20 @@ class TestFindFeasible:
         assert total_error(tree, binding, theta) <= 1e-4
 
 
+    @pytest.mark.parametrize("max_steps", [0, -5, True, 2.0, "10"])
+    @pytest.mark.parametrize("run", [anneal, find_feasible])
+    def test_bad_max_steps_rejected(self, run, max_steps):
+        tree, binding = single_leaf_problem()
+        with pytest.raises(ValueError, match="max_steps"):
+            run(tree, binding, 0.5, AnnealConfig(num_steps=10, seed=0), max_steps=max_steps)
+
+    def test_exhaustion_names_the_steps_run(self):
+        tree, binding = tfim_problem(n=6)
+        config = AnnealConfig(num_steps=40, seed=0)
+        for max_steps, run in ((None, 40), (7, 7), (np.int64(90), 90)):
+            with pytest.raises(InfeasibleError, match=f"within {run} steps"):
+                find_feasible(tree, binding, 1e-30, config, max_steps=max_steps)
+
     def test_pinned_stop_inside_a_block(self):
         # Recorded outcome of a walk that stops partway through a block of
         # pre-drawn uniforms, several blocks in.
@@ -439,6 +456,17 @@ class TestWarmStart:
             warm_start(a, [0.1], b)
 
 
+def mesh_argmin(tree, binding, eps_target, grid):
+    """The grid oracle on the materialised mesh: one batch evaluation, first minimum."""
+    mesh = np.stack([m.ravel() for m in np.meshgrid(*grid, indexing="ij")], axis=1)
+    costs, errors = compile_model(tree, binding).evaluate(mesh)
+    costs = np.where(errors <= eps_target, costs, math.inf)
+    idx = int(np.argmin(costs))
+    if not costs[idx] < math.inf:
+        return None
+    return tuple(mesh[idx].tolist()), float(costs[idx])
+
+
 class TestGridSearch:
     def test_single_leaf_picks_largest_feasible_epsilon(self):
         tree, binding = single_leaf_problem(count=2.0)
@@ -470,6 +498,72 @@ class TestGridSearch:
         a = grid_search_reference(tree, binding, 0.1, grid)
         b = grid_search_reference(tree, binding, 0.1, grid)
         assert a == b
+
+    # below the tolerance floor no ToleranceVector can hold the point
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.1, 1e-40, 1.0, 1.5, math.inf, -math.inf])
+    def test_bad_axis_entry_rejected(self, bad):
+        tree, binding = tfim_problem(n=6)
+        grid = [log_grid(1e-6, 1.0, 4), np.array([0.1, 0.2, bad]), log_grid(1e-6, 1.0, 3)]
+        with pytest.raises(EvaluationError, match="axis 1"):
+            grid_search_reference(tree, binding, 0.1, grid)
+
+    def test_bad_shapes_and_budgets_rejected(self):
+        tree, binding = tfim_problem(n=6)
+        axis = log_grid(1e-6, 1.0, 4)
+        with pytest.raises(ValueError, match="2 axes"):
+            grid_search_reference(tree, binding, 0.1, [axis] * 2)
+        with pytest.raises(ValueError, match="64 points"):
+            grid_search_reference(tree, binding, 0.1, [axis] * 3, max_points=63)
+        for chunk in (0, -1, True, 2.5):
+            with pytest.raises(ValueError, match="chunk"):
+                grid_search_reference(tree, binding, 0.1, [axis] * 3, chunk=chunk)
+        with pytest.raises(InfeasibleError, match="empty"):
+            grid_search_reference(tree, binding, 0.1, [axis, [], axis])
+
+    def test_ties_go_to_the_first_point_in_grid_order(self):
+        # the root's own tolerance adds error but no cost, so every feasible
+        # value of it ties; 0.1 comes before 0.2 on its axis
+        leaf = BudgetNode.leaf("gate", "l", LeafCost(2.0, 4.0))
+        tree = BudgetNode.composite("root", "r", [(Multiplicity(3.0), leaf)])
+        binding = ParameterBinding.from_dict({"r": ["r"], "l": ["l"]})
+        grid = [np.array([0.6, 0.3, 0.1, 0.2]), np.array([0.01, 0.05, 0.02])]
+        expected = mesh_argmin(tree, binding, 0.5, grid)
+        assert expected[0] == (0.1, 0.05)
+        for chunk in range(1, 14):
+            theta, cost = grid_search_reference(tree, binding, 0.5, grid, chunk=chunk)
+            assert (theta.values, cost) == expected
+
+    def test_matches_argmin_over_the_mesh(self):
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(60):
+            tree, binding, _ = random_tree(rng, max_depth=4)
+            while not 1 <= binding.dimension <= 4:
+                tree, binding, _ = random_tree(rng, max_depth=4)
+            for node in tree.walk():
+                if node.kind is NodeKind.LEAF and node.leaf_cost.count == 0:
+                    seen.add("zero-count leaf")
+                if any(e.multiplicity.rounding is Rounding.CEIL and e.multiplicity.exponent
+                       for e in node.children):
+                    seen.add("ceil edge")
+            # values drawn with replacement repeat, which ties costs exactly
+            pool = rng.uniform(0.01, 0.99, size=6)
+            grid = [np.sort(rng.choice(pool, size=int(rng.integers(1, 5))))
+                    for _ in range(binding.dimension)]
+            # rounded up, last-bit differences in a multiplicity would vanish
+            for model in (tree, as_continuous(tree)):
+                errors = compile_model(model, binding).evaluate(
+                    np.stack([m.ravel() for m in np.meshgrid(*grid, indexing="ij")], axis=1))[1]
+                for target in (float(np.median(errors)), float(errors.min()) / 2):
+                    expected = mesh_argmin(model, binding, target, grid)
+                    for chunk in (65536, 1, 3, 7):
+                        if expected is None:
+                            with pytest.raises(InfeasibleError):
+                                grid_search_reference(model, binding, target, grid, chunk=chunk)
+                            continue
+                        found = grid_search_reference(model, binding, target, grid, chunk=chunk)
+                        assert (found[0].values, found[1]) == expected
+        assert seen == {"zero-count leaf", "ceil edge"}
 
     def test_log_grid_half_open(self):
         grid = log_grid(1e-12, 1.0, 50)

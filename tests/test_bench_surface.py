@@ -10,6 +10,7 @@ traces.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from errorbudget.anneal import AnnealConfig
@@ -31,6 +32,7 @@ def tracing():
 
 def test_traced_items_reach_every_layer(tracing, tmp_path, monkeypatch):
     anneal, experiments, tfim = MODULES["anneal"], MODULES["experiments"], MODULES["tfim"]
+    normlab = MODULES["normlab"]
     original = experiments.anneal
     tracer = tracing.Tracer()
     with tracer.installed(MODULES):
@@ -47,6 +49,9 @@ def test_traced_items_reach_every_layer(tracing, tmp_path, monkeypatch):
         anneal.anneal(tree, binding, 0.1, AnnealConfig(num_steps=200))
         axis = anneal.log_grid(1e-12, 1.0, 8)
         anneal.grid_search_reference(tree, binding, 0.1, [axis] * 3)
+        normlab.verify_composition_bound(3, 4, 0.01, 5, np.random.default_rng(0))
+        spec = normlab.IsingEvolutionSpec.uniform(3, 1.0, 1.0, 1.0, 8)
+        normlab.trotter_error_sweep(spec, [8, 16])
         # chains run in the compiled kernel; the reference engine is the one
         # that drives a ChainEvaluator, so run one chain there
         with monkeypatch.context() as patch:
@@ -55,5 +60,6 @@ def test_traced_items_reach_every_layer(tracing, tmp_path, monkeypatch):
     assert experiments.anneal is original
     for name in ("experiments.run", "tfim.build", "model.validate", "model.compile",
                  "anneal.anneal", "anneal.find_feasible", "anneal.tune_delta",
-                 "anneal.measure_acceptance", "anneal.grid", "model.chain_update"):
+                 "anneal.measure_acceptance", "anneal.grid", "model.chain_update",
+                 "normlab.lemma1", "normlab.trotter"):
         assert tracer.calls[name] > 0, name

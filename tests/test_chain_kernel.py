@@ -215,6 +215,29 @@ def test_cache_reuses_and_rebuilds(kernel_engine, monkeypatch, tmp_path):
         ANNEAL._chain_kernel.cache_clear()
 
 
+def test_build_drops_other_builds_and_cached_load_keeps_them(kernel_engine, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    directory = tmp_path / "errorbudget"
+    directory.mkdir(mode=0o700)
+    old_build = directory / "_chain-0123456789abcdef.so"
+    old_build.write_bytes(b"a build of another source")
+    unrelated = directory / "notes.txt"
+    unrelated.write_text("not a build")
+    ANNEAL._chain_kernel.cache_clear()
+    try:
+        assert chain_engine() == "c"
+        [library] = directory.glob("_chain-*.so")
+        assert library != old_build and unrelated.exists()
+
+        # loading the cached build leaves every other file alone
+        old_build.write_bytes(b"a build of another source")
+        ANNEAL._chain_kernel.cache_clear()
+        assert chain_engine() == "c"
+        assert sorted(directory.glob("_chain-*.so")) == sorted([library, old_build])
+    finally:
+        ANNEAL._chain_kernel.cache_clear()
+
+
 def test_error_while_drawing_uniforms_stops_the_chain(kernel_engine, monkeypatch):
     # an interrupt (Ctrl-C) arrives in the Python code that refills the
     # kernel's uniforms; it must stop the chain and propagate, not be lost

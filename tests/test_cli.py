@@ -216,3 +216,14 @@ class TestVerifyCommands:
         )
         assert code == 0
         assert "fitted_slope" in stdout
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--trials", "-2", "trials"), ("--trials", "0", "trials"), ("--length", "0", "length"),
+        ("--dimension", "6", "dimension"), ("--epsilon", "2.5", "epsilons"),
+        ("--epsilon", "nan", "epsilons"),
+    ])
+    def test_lemma1_bad_argument_exits_2(self, capsys, flag, value, named):
+        code, stdout, stderr = run_cli(capsys, "verify", "lemma1", flag, value)
+        assert code == 2
+        assert stdout == ""
+        assert named in stderr

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from errorbudget.model import (
     BudgetNode,
     ChainEvaluator,
+    ChildEdge,
     EvaluationError,
     ExpansionLimitError,
     LeafCost,
@@ -272,6 +274,15 @@ def random_tree(rng: np.random.Generator, max_depth=3):
     return tree, binding, theta
 
 
+def as_continuous(tree):
+    """Copy of the tree with every multiplicity left unrounded."""
+    return replace(tree, children=tuple(
+        ChildEdge(replace(edge.multiplicity, rounding=Rounding.CONTINUOUS),
+                  as_continuous(edge.node))
+        for edge in tree.children
+    ))
+
+
 class TestProperties:
     def test_flat_recursive_equivalence_random_trees(self):
         rng = np.random.default_rng(7)
@@ -393,6 +404,38 @@ class TestCompiledModel:
         for i in range(40):
             assert costs[i] == pytest.approx(total_cost(tree, binding, thetas[i]), rel=1e-12)
             assert errors[i] == pytest.approx(total_error(tree, binding, thetas[i]), rel=1e-12)
+
+    def test_single_vector_is_its_batch_row(self):
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            tree, binding, _ = random_tree(rng, max_depth=4)
+            thetas = rng.uniform(0.01, 0.99, size=(5, binding.dimension))
+            for model in (tree, as_continuous(tree)):
+                compiled = compile_model(model, binding)
+                costs, errors = compiled.evaluate(thetas)
+                for i in range(5):
+                    assert compiled.evaluate(thetas[i]) == (costs[i], errors[i])
+
+    def test_columns_on_broadcast_axes_match_the_mesh(self):
+        # one pass serves batches and grids: on axes reshaped to broadcast,
+        # it gives the batch results on the materialised mesh, bit for bit
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 150:
+            tree, binding, _ = random_tree(rng, max_depth=4)
+            dim = binding.dimension
+            if not 1 <= dim <= 4:
+                continue
+            checked += 1
+            axes = [rng.uniform(0.01, 0.99, size=int(rng.integers(1, 4))) for _ in range(dim)]
+            columns = [axis.reshape((-1,) + (1,) * (dim - 1 - k)) for k, axis in enumerate(axes)]
+            mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+            shape = tuple(axis.size for axis in axes)
+            for model in (tree, as_continuous(tree)):
+                compiled = compile_model(model, binding)
+                for found, expected in zip(compiled.evaluate_columns(columns),
+                                           compiled.evaluate(mesh)):
+                    assert np.broadcast_to(found, shape).ravel().tobytes() == expected.tobytes()
 
     def test_rejects_bad_domain(self):
         tree, binding = build_tfim_model(TfimConfig(n=4))

@@ -1,10 +1,13 @@
+import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from errorbudget.normlab import (
     AssemblyError,
+    CompositionReport,
     IsingEvolutionSpec,
     MatrixDomainError,
     build_hamiltonian,
@@ -21,6 +24,9 @@ from errorbudget.normlab import (
     trotter_error_sweep,
     verify_composition_bound,
 )
+
+# the module, for its block size
+NORMLAB = importlib.import_module("errorbudget.normlab")
 
 
 class TestSpectralNorm:
@@ -153,10 +159,100 @@ class TestCompositionBound:
             rhs = spectral_norm(a - a2) + spectral_norm(b - b2)
             assert lhs <= rhs + 1e-12
 
+    def test_zero_dimensional_array_budget_is_a_scalar(self):
+        report = verify_composition_bound(3, 4, np.array(0.02), 5, np.random.default_rng(17))
+        assert report == verify_composition_bound(3, 4, 0.02, 5, np.random.default_rng(17))
+
     def test_budget_length_mismatch(self):
         rng = np.random.default_rng(12)
         with pytest.raises(MatrixDomainError):
             verify_composition_bound(3, 4, [0.1, 0.1], trials=1, rng=rng)
+
+    @pytest.mark.parametrize("argument, value", [
+        ("trials", -2), ("trials", 0), ("trials", True), ("trials", 2.0),
+        ("length", 0), ("length", -1), ("length", True),
+        ("dimension", 3), ("dimension", 1), ("dimension", 0), ("dimension", -4),
+        ("dimension", 6), ("dimension", 4.0), ("dimension", True),
+        ("epsilons", -0.1), ("epsilons", 2.0), ("epsilons", math.nan), ("epsilons", math.inf),
+        ("epsilons", [0.1, 2.5]), ("epsilons", [math.nan, 0.1]),
+    ])
+    def test_bad_arguments_fail_before_any_draw(self, argument, value):
+        args = {"length": 2, "dimension": 4, "epsilons": 0.1, "trials": 3}
+        args[argument] = value
+        rng = np.random.default_rng(13)
+        state = rng.bit_generator.state
+        with pytest.raises(MatrixDomainError, match=argument):
+            verify_composition_bound(rng=rng, **args)
+        assert rng.bit_generator.state == state
+
+
+def composition_trials(length, dimension, epsilons, trials, rng):
+    """The composition check one trial and one factor at a time, on the public helpers."""
+    eps_list = (
+        tuple(float(epsilons) for _ in range(length)) if np.ndim(epsilons) == 0
+        else tuple(float(e) for e in epsilons)
+    )
+    budget = sum(eps_list)
+    violations, max_ratio, ratio_sum = 0, 0.0, 0.0
+    for _ in range(trials):
+        exact = np.eye(dimension, dtype=complex)
+        approx = np.eye(dimension, dtype=complex)
+        for eps in eps_list:
+            u = random_unitary(dimension, rng)
+            v = perturb_unitary(u, eps, rng)
+            exact = u @ exact
+            approx = v @ approx
+        distance = spectral_norm(exact - approx)
+        if budget == 0.0:
+            ratio = 0.0
+            violations += distance > 1e-12
+        else:
+            ratio = distance / budget
+            violations += distance > budget
+        max_ratio = max(max_ratio, ratio)
+        ratio_sum += ratio
+    return CompositionReport(trials, length, dimension, eps_list, violations, max_ratio,
+                             ratio_sum / trials)
+
+
+class TestStackedTrials:
+    """Stacked trials report what the trial-by-trial loop reports, bit for bit."""
+
+    @pytest.mark.parametrize("dimension", [2, 4, 8])
+    @pytest.mark.parametrize("length", range(1, 11))
+    def test_matches_trial_by_trial_loop(self, length, dimension, monkeypatch):
+        # blocks of three trials at most: seven trials end on a partial block
+        monkeypatch.setattr(NORMLAB, "_TRIAL_BLOCK_ENTRIES", 3 * length * dimension**2)
+        mixed = [0.0 if i % 3 == 0 else 10.0 ** -(i % 4) for i in range(length)]
+        for budgets in (0.01, 0.0, 1.9, mixed):
+            seed = 1000 * length + dimension
+            report = verify_composition_bound(
+                length, dimension, budgets, 7, np.random.default_rng(seed))
+            expected = composition_trials(
+                length, dimension, budgets, 7, np.random.default_rng(seed))
+            assert repr(report) == repr(expected)
+
+    def test_trials_span_several_default_blocks(self):
+        block = NORMLAB._TRIAL_BLOCK_ENTRIES // (10 * 8 * 8)
+        trials = 2 * block + 1
+        eps = 10.0 ** np.random.default_rng(14).uniform(-4, -1, size=10)
+        report = verify_composition_bound(10, 8, eps, trials, np.random.default_rng(15))
+        expected = composition_trials(10, 8, eps, trials, np.random.default_rng(15))
+        assert repr(report) == repr(expected)
+        assert report.trials == trials and report.violations == 0
+
+    def test_numpy_integer_arguments(self):
+        report = verify_composition_bound(
+            np.int64(3), np.int64(4), 0.02, np.int64(5), np.random.default_rng(18))
+        expected = verify_composition_bound(3, 4, 0.02, 5, np.random.default_rng(18))
+        assert report.violations == expected.violations
+        assert (report.max_ratio, report.mean_ratio) == (expected.max_ratio, expected.mean_ratio)
+
+    def test_rng_left_where_the_loop_leaves_it(self):
+        rng, loop_rng = np.random.default_rng(16), np.random.default_rng(16)
+        verify_composition_bound(3, 4, 0.1, 5, rng)
+        composition_trials(3, 4, 0.1, 5, loop_rng)
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 class TestIsingEvolution:
@@ -192,6 +288,17 @@ class TestIsingEvolution:
         errors = [e for _, e in trotter_error_sweep(spec, [4, 8, 16, 32, 64, 128])]
         for a, b in zip(errors, errors[1:]):
             assert b <= a + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_sweep_matches_one_step_count_at_a_time(self, n, order):
+        spec = IsingEvolutionSpec(
+            n, tuple(0.4 + 0.1 * i for i in range(n)), tuple(1.2 - 0.15 * i for i in range(n)),
+            0.8, 8, order,
+        )
+        counts = [1, 2, 8, 33, 128]
+        expected = [(m, trotter_error(replace(spec, steps=m))) for m in counts]
+        assert repr(trotter_error_sweep(spec, counts)) == repr(expected)
 
     def test_spec_validation(self):
         with pytest.raises(MatrixDomainError):

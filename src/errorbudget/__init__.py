@@ -36,14 +36,13 @@ from .anneal import (  # noqa: E402  (circular-import-free tail imports)
     InfeasibleError,
     RefinementError,
     RunSummary,
-    StepRecord,
+    Trace,
     acceptance_probability,
     anneal,
     find_feasible,
     grid_search_reference,
     log_grid,
     measure_acceptance,
-    propose,
     tune_delta,
     warm_start,
 )

@@ -5,13 +5,19 @@
  * beta ramp and bookkeeping, and the node arithmetic of `ChainEvaluator`
  * (libm pow, log2 and exp; sums left to right from 0.0).  Built with
  * -ffp-contract=off, so no multiply-add is fused, the two engines give
- * bit-identical chains.  Python draws the uniforms: `refill` overwrites
- * `uniforms` with the next `4 * block_steps` of the chain's stream.
+ * bit-identical chains.  The kernel draws the chain's uniforms itself, from
+ * the PCG64 stream numpy's `default_rng(seed).random()` yields (O'Neill,
+ * PCG, HMC-CS-2014-0905): a 128-bit LCG step, the XSL-RR output, then
+ * `(x >> 11) * 2^-53`.  A chain runs in slices: everything it needs between
+ * two calls lives in `struct chain`.
  */
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
+
+#ifndef __SIZEOF_INT128__
+#error "the chain kernel needs a compiler with unsigned __int128 for PCG64"
+#endif
 
 #define REL_FLOOR 1e-300  /* anneal._REL_FLOOR */
 #define EPS_FLOOR 1e-30   /* model.EPSILON_FLOOR */
@@ -32,17 +38,32 @@ struct table {                  /* CompiledModel.chain_table */
 
 struct chain {
     double eps_target, beta_max, d_beta, delta, scale_error, scale_cost;
-    int64_t total_steps, stop_at_feasible, block_steps;
-    const double *uniforms;
+    int64_t total_steps, stop_at_feasible;
+    uint64_t state_hi, state_lo, inc_hi, inc_lo;           /* PCG64, seeded */
+    double *nodes;                  /* 4 n_nodes + 2 n_edges + 1 doubles of scratch */
     double *theta, *best_theta, *first_theta, *min_theta;  /* dim each */
     int8_t *t_cost_mode;                                   /* trace columns, or NULL */
     double *t_cost, *t_error;
     int8_t *t_accepted;
     double *t_delta_e;
-    /* results */
-    double cost, error, best_cost, best_error, first_cost, min_error;
+    /* progress, kept between slices, and results */
+    double beta, cost, error, best_cost, best_error, first_cost, min_error;
     int64_t steps_run, accepted, steps_to_feasible;
 };
+
+typedef unsigned __int128 u128;
+
+#define PCG_MULT (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+
+/* Step the LCG, then output a double in [0, 1) as numpy's PCG64 does. */
+static double next_double(u128 *state, u128 inc)
+{
+    *state = *state * PCG_MULT + inc;
+    uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    unsigned r = (unsigned)(*state >> 122);
+    x = (x >> r) | (x << ((64 - r) & 63));
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
 
 /* Recompute node i from its children; with `fresh`, its multiplicities too.
  * Values overwritten go to *save (when not NULL), in visiting order. */
@@ -112,16 +133,15 @@ static void note_state(struct chain *c, int64_t dim, int64_t step)
     }
 }
 
-/* Run the chain from c->theta; 0 on success, -1 if out of memory, 1 if a refill failed. */
-int eb_run_chain(const struct table *t, struct chain *c, int (*refill)(void))
+/* The node values at c->theta; the chain's start, before its first step. */
+void eb_start_chain(const struct table *t, struct chain *c)
 {
     int64_t n = t->n_nodes, dim = t->dim, n_edges = t->kid_ptr[n];
-    double *cost = malloc((size_t)(4 * n + 2 * n_edges + 1) * sizeof(double));
-    if (!cost) return -1;
-    double *err = cost + n, *m = err + n, *saved = m + n_edges;
+    double *cost = c->nodes, *err = cost + n, *m = err + n;
     memcpy(m, t->coeff, (size_t)n_edges * sizeof(double));
     for (int64_t i = n - 1; i >= 0; i--) node(t, c->theta, cost, err, m, i, 1, NULL);
 
+    c->beta = 0.0;
     c->cost = cost[0];
     c->error = err[0];
     c->best_cost = INFINITY;
@@ -132,21 +152,23 @@ int eb_run_chain(const struct table *t, struct chain *c, int (*refill)(void))
     memcpy(c->min_theta, c->theta, (size_t)dim * sizeof(double));
     c->steps_run = c->accepted = 0;
     note_state(c, dim, 0);
+}
 
+/* Run up to `slice` more steps; 1 while the chain has steps left, else 0. */
+int eb_run_chain(const struct table *t, struct chain *c, int64_t slice)
+{
+    int64_t n = t->n_nodes, dim = t->dim, n_edges = t->kid_ptr[n];
+    double *cost = c->nodes, *err = cost + n, *m = err + n, *saved = m + n_edges;
     const double ceiling = nextafter(1.0, 0.0);  /* model.EPSILON_CEILING */
-    const int64_t block = 4 * c->block_steps;
-    int64_t u = block;
-    double beta = 0.0;
-    int status = 0;
-    for (int64_t step = 0; step < c->total_steps; step++) {
+    u128 state = (u128)c->state_hi << 64 | c->state_lo;
+    const u128 inc = (u128)c->inc_hi << 64 | c->inc_lo;
+    double beta = c->beta;
+    int64_t step = c->steps_run;
+    int64_t end = c->total_steps - step < slice ? c->total_steps : step + slice;
+    for (; step < end; step++) {
         if (c->stop_at_feasible && c->steps_to_feasible >= 0) break;
-        if (u == block) {
-            if (refill()) { status = 1; break; }
-            u = 0;
-        }
-        const double *r = c->uniforms + u;
-        u += 4;
-        c->steps_run++;
+        double r[4];
+        for (int j = 0; j < 4; j++) r[j] = next_double(&state, inc);
 
         int64_t k = (int64_t)(r[0] * (double)dim);
         double factor = 1.0 + (1.0 - r[2]) * c->delta;
@@ -192,6 +214,9 @@ int eb_run_chain(const struct table *t, struct chain *c, int (*refill)(void))
             c->t_delta_e[step] = delta_e;
         }
     }
-    free(cost);
-    return status;
+    c->state_hi = (uint64_t)(state >> 64);
+    c->state_lo = (uint64_t)state;
+    c->beta = beta;
+    c->steps_run = step;
+    return step < c->total_steps && !(c->stop_at_feasible && c->steps_to_feasible >= 0);
 }

@@ -11,9 +11,10 @@ one beta schedule usable across cost scales spanning many orders of
 magnitude.
 
 Chains run in a compiled C kernel (``_chain.c``, built with the system's
-``cc`` on the first chain a process runs and cached per user) or, where it
-cannot be built, in a Python reference loop over :class:`ChainEvaluator`;
-the two give bit-identical chains.
+``cc`` on the first chain a process runs and cached per user), which draws
+the chain's PCG64 stream itself, or, where it cannot be built, in a Python
+reference loop over :class:`ChainEvaluator` that draws from
+``numpy.random.default_rng``; the two give bit-identical chains.
 
 Also here: multi-start driving, a proposal-width tuner targeting a ~50%
 acceptance rate, warm starts from coarser bindings, and an exhaustive
@@ -53,9 +54,18 @@ from .model import (
 #: Denominator floor for relative objective changes.
 _REL_FLOOR = 1e-300
 
-#: Chain steps per block of uniforms drawn at once (four per step).  Small, so
-#: a long walk never holds its whole stream and an early stop wastes little.
+#: Chain steps per block of uniforms the reference engine draws at once (four
+#: per step).  Small, so a long walk never holds its whole stream and an early
+#: stop wastes little.
 _BLOCK_STEPS = 1024
+
+#: Chain steps the compiled kernel runs per call.  Python runs between two
+#: calls, so Ctrl-C stops a chain within one slice.
+_SLICE_STEPS = 2**20
+
+#: Kernel builds the cache keeps, the most recently used: two checkouts or
+#: installs of differing sources then never rebuild each other's.
+_KEPT_BUILDS = 4
 
 #: How the chain kernel is compiled; no flag may let the compiler reorder or
 #: contract floating-point operations.
@@ -78,20 +88,19 @@ _COLUMNS = ("t_cost_mode", "t_cost", "t_error", "t_accepted", "t_delta_e")
 
 
 class _Chain(ctypes.Structure):
-    """``struct chain`` of ``_chain.c``: one chain's settings, buffers and results."""
+    """``struct chain`` of ``_chain.c``: one chain's settings, buffers, progress and results."""
 
     _fields_ = (
         [(name, ctypes.c_double) for name in (
             "eps_target", "beta_max", "d_beta", "delta", "scale_error", "scale_cost")]
-        + [(name, ctypes.c_int64) for name in ("total_steps", "stop_at_feasible", "block_steps")]
-        + [(name, ctypes.c_void_p) for name in ("uniforms", *_POINTS, *_COLUMNS)]
+        + [(name, ctypes.c_int64) for name in ("total_steps", "stop_at_feasible")]
+        + [(name, ctypes.c_uint64) for name in ("state_hi", "state_lo", "inc_hi", "inc_lo")]
+        + [(name, ctypes.c_void_p) for name in ("nodes", *_POINTS, *_COLUMNS)]
         + [(name, ctypes.c_double) for name in (
-            "cost", "error", "best_cost", "best_error", "first_cost", "min_error")]
+            "beta", "cost", "error", "best_cost", "best_error", "first_cost", "min_error")]
         + [(name, ctypes.c_int64) for name in ("steps_run", "accepted", "steps_to_feasible")]
     )
 
-
-_REFILL = ctypes.CFUNCTYPE(ctypes.c_int)
 
 MODE_ERROR = "error"
 MODE_COST = "cost"
@@ -179,14 +188,23 @@ class AnnealConfig:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """One trace row: state after the step's accept/reject decision."""
+class Trace:
+    """A chain's steps as columns: per step, the state after its accept/reject decision.
 
-    mode: str
-    cost: float
-    error: float
-    accepted: bool
-    delta_e: float
+    ``cost_mode`` tells whether the step ran in cost mode (the state before
+    it was feasible); ``cost``, ``error`` and ``accepted`` are the state and
+    decision after it, and ``delta_e`` the scaled relative change the
+    Metropolis test saw.  ``len`` is the number of steps.
+    """
+
+    cost_mode: tuple[bool, ...] = ()
+    cost: tuple[float, ...] = ()
+    error: tuple[float, ...] = ()
+    accepted: tuple[bool, ...] = ()
+    delta_e: tuple[float, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.cost)
 
 
 @dataclass(frozen=True)
@@ -226,7 +244,7 @@ class AnnealResult:
     min_error_theta: ToleranceVector
     seed: int
     delta: float
-    trace: tuple[StepRecord, ...]
+    trace: Trace
     runs: tuple[RunSummary, ...]
 
     @property
@@ -262,7 +280,13 @@ class AnnealResult:
             "runs": [asdict(run) for run in self.runs],
         }
         if include_trace:
-            out["trace"] = [asdict(rec) for rec in self.trace]
+            trace = self.trace
+            out["trace"] = [
+                {"mode": MODE_COST if m else MODE_ERROR, "cost": c, "error": e, "accepted": a,
+                 "delta_e": d}
+                for m, c, e, a, d in zip(
+                    trace.cost_mode, trace.cost, trace.error, trace.accepted, trace.delta_e)
+            ]
         return out
 
 
@@ -283,20 +307,6 @@ def _move(
     factor = 1.0 + (1.0 - u_factor) * delta
     value = theta[index] * factor if u_up < 0.5 else theta[index] / factor
     return index, min(max(value, EPSILON_FLOOR), EPSILON_CEILING)
-
-
-def propose(theta: np.ndarray, delta: float, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """One multiplicative single-coordinate move.
-
-    Picks an index uniformly, then multiplies or divides that entry (each with
-    probability 1/2) by a factor drawn from ``(1, 1+delta]``; the result is
-    clamped into the representable tolerance interval.  Consumes exactly three
-    uniform draws so chains remain reproducible.
-    """
-    index, value = _move(theta, delta, rng.random(), rng.random(), rng.random())
-    out = theta.copy()
-    out[index] = value
-    return out, index
 
 
 def _validated(model: BudgetNode | CompiledModel, binding: ParameterBinding) -> CompiledModel:
@@ -396,28 +406,46 @@ def _load_kernel():
     target = directory / f"_chain-{key}.so"
     if target.exists():
         try:
-            return _bind(ctypes.CDLL(str(target)))
+            kernel = _bind(ctypes.CDLL(str(target)))
         except (OSError, AttributeError):  # truncated or foreign: build it again
             pass
+        else:
+            try:
+                os.utime(target)  # used now: the last build a prune removes
+            except OSError:
+                pass
+            return kernel
     compiler = _find_compiler()
     if compiler is None:
         raise OSError("no C compiler (cc) on PATH")
     _compile_kernel(compiler, source, target)
     kernel = _bind(ctypes.CDLL(str(target)))
-    for stale in directory.glob("_chain-*.so"):  # builds of another source, flags or platform
-        if stale != target:
-            try:
-                stale.unlink()
-            except OSError:
-                pass
+    _prune_builds(directory)
     return kernel
 
 
+def _prune_builds(directory: Path) -> None:
+    """Remove all but the ``_KEPT_BUILDS`` most recently used kernel builds."""
+    builds = []
+    for build in directory.glob("_chain-*.so"):
+        try:
+            builds.append((build.stat().st_mtime_ns, build))
+        except OSError:  # removed meanwhile by another process
+            pass
+    for _, stale in sorted(builds, reverse=True)[_KEPT_BUILDS:]:
+        try:
+            stale.unlink()
+        except OSError:
+            pass
+
+
 def _bind(library):
-    run = library.eb_run_chain
-    run.argtypes = [ctypes.POINTER(_Table), ctypes.POINTER(_Chain), _REFILL]
-    run.restype = ctypes.c_int
-    return run
+    table, chain = ctypes.POINTER(_Table), ctypes.POINTER(_Chain)
+    library.eb_start_chain.argtypes = [table, chain]
+    library.eb_start_chain.restype = None
+    library.eb_run_chain.argtypes = [table, chain, ctypes.c_int64]
+    library.eb_run_chain.restype = ctypes.c_int
+    return library
 
 
 @functools.cache
@@ -446,61 +474,112 @@ def chain_engine() -> str:
     return "python" if _chain_kernel() is None else "c"
 
 
-def _kernel_chain(kernel, compiled, eps_target, config, theta, total_steps, block_steps,
-                  rng, record_trace, stop_at_feasible):
+_MASK32 = 2**32 - 1
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seeded(seed: int) -> tuple[int, int]:
+    """PCG64 state and increment as ``numpy.random.default_rng(seed)`` seeds them.
+
+    numpy hashes the seed's 32-bit words into a pool of four with
+    ``SeedSequence``, draws four 64-bit words from the pool, and seeds PCG64's
+    state and stream with two each.  Done here in integer arithmetic, so the
+    kernel's chains need no ``numpy.random``.
+    """
+    seed = int(seed)  # a numpy integer would wrap around in the products below
+    if seed < 0:  # as SeedSequence; a negative seed never runs out of words
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    state_hi, state_lo, inc_hi, inc_lo = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+    # from state 0: one step (which lands on inc), add the seed, one more step
+    state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+    return state, inc
+
+
+def _kernel_chain(kernel, compiled, eps_target, config, theta, total_steps, seed,
+                  record_trace, stop_at_feasible):
     """The chain in the compiled kernel; returns what :func:`_reference_chain` does."""
     table = compiled.chain_table
     c_table = _Table(n_nodes=compiled.n_nodes, dim=compiled.dimension,
                      **{name: array.ctypes.data for name, array in table.items()})
-    block = np.empty(4 * block_steps)
-    points = np.empty((4, compiled.dimension))
-    points[0] = theta
-    columns = tuple(
-        np.zeros(total_steps if record_trace else 0, dtype=kind)
-        for kind in (np.int8, float, float, np.int8, float)  # as named in _COLUMNS
-    )
+    nodes = (ctypes.c_double * (4 * compiled.n_nodes + 2 * table["kid"].size + 1))()
+    points = [(ctypes.c_double * compiled.dimension)(*theta) for _ in _POINTS]
+    columns = [
+        np.zeros(total_steps, dtype=kind)
+        for kind in (bool, float, float, bool, float)  # as named in _COLUMNS
+    ] if record_trace else []
+    state, inc = _pcg64_seeded(seed)
     chain = _Chain(
         eps_target=eps_target, beta_max=config.beta_max, d_beta=config.beta_max / config.num_steps,
         delta=config.delta, scale_error=config.mode_scale_error, scale_cost=config.mode_scale_cost,
-        total_steps=total_steps, stop_at_feasible=stop_at_feasible, block_steps=block_steps,
-        uniforms=block.ctypes.data,
-        **{name: row.ctypes.data for name, row in zip(_POINTS, points)},
-        **({name: column.ctypes.data for name, column in zip(_COLUMNS, columns)}
-           if record_trace else {}),
+        total_steps=total_steps, stop_at_feasible=stop_at_feasible,
+        state_hi=state >> 64, state_lo=state & _MASK64, inc_hi=inc >> 64, inc_lo=inc & _MASK64,
+        nodes=ctypes.addressof(nodes),
+        **{name: ctypes.addressof(row) for name, row in zip(_POINTS, points)},
+        **{name: column.ctypes.data for name, column in zip(_COLUMNS, columns)},
     )
-
-    interrupted: list[BaseException] = []
-
-    def refill() -> int:
-        try:
-            rng.random(out=block)
-        except BaseException as exc:  # such as Ctrl-C: stop the chain, raise it below
-            interrupted.append(exc)
-            return 1
-        return 0
-
-    status = kernel(ctypes.byref(c_table), ctypes.byref(chain), _REFILL(refill))
-    if interrupted:
-        raise interrupted[0]
-    if status != 0:
-        raise MemoryError("the chain kernel could not allocate its node buffers")
-    _, best, first, min_theta = points.tolist()
+    table_ref, chain_ref = ctypes.byref(c_table), ctypes.byref(chain)
+    kernel.eb_start_chain(table_ref, chain_ref)
+    while kernel.eb_run_chain(table_ref, chain_ref, _SLICE_STEPS):
+        pass
+    _, best, first, min_theta = (row[:] for row in points)
     steps = chain.steps_run
     return (
         best, chain.best_cost, chain.best_error,
         first, chain.first_cost, chain.steps_to_feasible,
         chain.min_error, min_theta, chain.accepted, steps,
-        tuple(column[:steps] for column in columns),
+        tuple(column[:steps] for column in columns) if record_trace else ((),) * len(_COLUMNS),
     )
 
 
-def _reference_chain(compiled, eps_target, config, theta, total_steps, block_steps,
-                     rng, record_trace, stop_at_feasible):
+def _reference_chain(compiled, eps_target, config, theta, total_steps, seed,
+                     record_trace, stop_at_feasible):
     """The chain in Python over :class:`ChainEvaluator`: the kernel's reference.
 
-    Returns the best, first-feasible and min-error points with their values,
-    the accept and step counts and the trace columns.
+    Draws its uniforms from ``numpy.random.default_rng(seed)`` in blocks of up
+    to ``_BLOCK_STEPS`` steps, which yields the same values as one scalar draw
+    each.  Returns the best, first-feasible and min-error points with their
+    values, the accept and step counts and the trace columns.
     """
+    rng = np.random.default_rng(seed)
+    block_steps = min(total_steps, _BLOCK_STEPS)
     evaluator = ChainEvaluator(compiled)
     theta = theta.tolist()
     cost, error = evaluator.reset(theta)
@@ -588,24 +667,19 @@ def _run_chain(
 ) -> tuple[AnnealResult, tuple]:
     """Run one chain; return its result (without trace) and its trace columns.
 
-    Each step consumes four uniforms of the chain's stream, in the order
-    index, direction, factor, accept; they are drawn in blocks of up to
-    ``_BLOCK_STEPS`` steps, which yields the same values as one scalar draw
-    each.  The chain runs in the compiled kernel unless it is unavailable;
-    the Python loop of :func:`_reference_chain` is the same chain, bit for
-    bit.  The trace
-    columns hold per step whether it ran in cost mode, and the cost, error,
-    accepted flag and ``delta_e`` after it.
+    Each step consumes four uniforms of the stream ``default_rng(seed)``
+    yields, in the order index, direction, factor, accept.  The chain runs in
+    the compiled kernel unless it is unavailable; the Python loop of
+    :func:`_reference_chain` is the same chain, bit for bit.  The trace
+    columns come in the order of :class:`Trace`'s fields.
     """
     total_steps = _step_budget(compiled, config, max_steps)
-    block_steps = min(total_steps, _BLOCK_STEPS)
-    rng = np.random.default_rng(seed)
     kernel = _chain_kernel()
     engine = _reference_chain if kernel is None else functools.partial(_kernel_chain, kernel)
     (
         best_theta, best_cost, best_error, first_theta, first_cost, steps_to_feasible,
         min_error, min_error_theta, accepted, steps_run, trace,
-    ) = engine(compiled, eps_target, config, theta_init, total_steps, block_steps, rng,
+    ) = engine(compiled, eps_target, config, theta_init, total_steps, seed,
                record_trace, stop_at_feasible)
     feasible = best_cost < math.inf  # as the best point is only ever taken below inf
     return AnnealResult(
@@ -622,17 +696,9 @@ def _run_chain(
         min_error_theta=ToleranceVector(tuple(min_error_theta)),
         seed=seed,
         delta=config.delta,
-        trace=(),
+        trace=Trace(),
         runs=(),
     ), trace
-
-
-def _step_records(columns: tuple) -> tuple[StepRecord, ...]:
-    cost_mode, cost, error, accepted, delta_e = (np.asarray(c).tolist() for c in columns)
-    return tuple(
-        StepRecord(MODE_COST if m else MODE_ERROR, c, e, bool(a), d)
-        for m, c, e, a, d in zip(cost_mode, cost, error, accepted, delta_e)
-    )
 
 
 def anneal(
@@ -674,7 +740,8 @@ def anneal(
         ):
             best, best_trace = result, trace
     assert best is not None
-    return replace(best, trace=_step_records(best_trace), runs=tuple(summaries))
+    trace = Trace(*(tuple(np.asarray(column).tolist()) for column in best_trace))
+    return replace(best, trace=trace, runs=tuple(summaries))
 
 
 def find_feasible(

@@ -9,7 +9,8 @@ Subcommands::
     errorbudget verify trotter --n 3 --time 1.0 --orders first,second
 
 Exit codes: 0 success, 1 usage or parse failure, 2 model validation failure,
-3 exhaustion (no feasible solution found).
+3 exhaustion (no feasible solution found, or for ``optimize`` none that stays
+feasible with integer step counts).
 """
 
 from __future__ import annotations
@@ -130,7 +131,16 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         output["best_error_ceil"] = total_error(ceiled, binding, result.best_theta)
     json.dump(output, sys.stdout, indent=2)
     print()
-    return EXIT_OK if result.feasible else EXIT_EXHAUSTED
+    if not result.feasible:
+        return EXIT_EXHAUSTED
+    if output["best_error_ceil"] > args.epsilon:
+        print(
+            f"best point is infeasible with integer step counts: ceiled error "
+            f"{output['best_error_ceil']!r} exceeds the target {args.epsilon!r}",
+            file=sys.stderr,
+        )
+        return EXIT_EXHAUSTED
+    return EXIT_OK
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

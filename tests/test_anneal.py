@@ -1,5 +1,5 @@
+import importlib
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -8,13 +8,13 @@ from errorbudget.anneal import (
     AnnealConfig,
     InfeasibleError,
     RefinementError,
+    _move,
     acceptance_probability,
     anneal,
     find_feasible,
     grid_search_reference,
     log_grid,
     measure_acceptance,
-    propose,
     tune_delta,
     warm_start,
 )
@@ -34,15 +34,8 @@ from errorbudget.model import (
 from errorbudget.tfim import TfimConfig, build_tfim_model
 from test_model import as_continuous, random_tree
 
-
-class ScriptedRng:
-    """Deterministic stand-in feeding a fixed sequence of uniform draws."""
-
-    def __init__(self, draws):
-        self.draws = deque(draws)
-
-    def random(self):
-        return self.draws.popleft()
+# the module, not the function the package namespace exports under this name
+ANNEAL = importlib.import_module("errorbudget.anneal")
 
 
 def zero_error_model():
@@ -74,62 +67,61 @@ class TestAnnealConfig:
 
 
 class TestPropose:
+    """The move a chain step proposes, from its index, direction and factor uniforms."""
+
     def test_zero_width_is_identity(self):
-        theta = np.array([0.1, 0.2, 0.3])
-        out, index = propose(theta, 0.0, ScriptedRng([0.5, 0.1, 0.7]))
-        assert np.array_equal(out, theta)
+        theta = [0.1, 0.2, 0.3]
+        index, value = _move(theta, 0.0, 0.5, 0.1, 0.7)
         assert index == 1
+        assert value == theta[index]
 
     def test_multiply_branch_hits_full_factor(self):
         # draw order: index, direction (< 0.5 multiplies), factor
         delta = 0.5
-        theta = np.array([0.1])
-        out, index = propose(theta, delta, ScriptedRng([0.0, 0.0, 0.0]))
+        index, value = _move([0.1], delta, 0.0, 0.0, 0.0)
         assert index == 0
-        assert out[0] == 0.1 * (1 + delta)
+        assert value == 0.1 * (1 + delta)
 
     def test_divide_branch(self):
         delta = 0.5
-        theta = np.array([0.1])
-        out, _ = propose(theta, delta, ScriptedRng([0.0, 0.9, 0.0]))
-        assert out[0] == 0.1 / (1 + delta)
+        _, value = _move([0.1], delta, 0.0, 0.9, 0.0)
+        assert value == 0.1 / (1 + delta)
 
     def test_factor_stays_in_half_open_interval(self):
         rng = np.random.default_rng(0)
-        theta = np.array([0.25])
+        theta = [0.25]
         for _ in range(2000):
-            out, _ = propose(theta, 0.5, rng)
-            ratio = out[0] / theta[0]
+            _, value = _move(theta, 0.5, *rng.random(3))
+            ratio = value / theta[0]
             factor = ratio if ratio > 1 else 1 / ratio
             assert 1.0 < factor <= 1.5
 
     def test_exactly_one_entry_changes(self):
+        # a move names one entry and its new value, and that value differs
         rng = np.random.default_rng(1)
-        theta = np.array([0.1, 0.2, 0.3, 0.4])
+        theta = [0.1, 0.2, 0.3, 0.4]
         for _ in range(500):
-            out, index = propose(theta, 0.5, rng)
-            changed = np.flatnonzero(out != theta)
-            assert np.array_equal(changed, [index])
+            index, value = _move(theta, 0.5, *rng.random(3))
+            assert index in range(len(theta))
+            assert value != theta[index]
 
     def test_index_frequency_is_uniform(self):
         rng = np.random.default_rng(2)
         dimension, draws = 5, 100_000
-        theta = np.full(dimension, 0.1)
+        theta = [0.1] * dimension
         counts = np.zeros(dimension)
-        for _ in range(draws):
-            _, index = propose(theta, 0.5, rng)
+        for u in rng.random((draws, 3)).tolist():
+            index, _ = _move(theta, 0.5, *u)
             counts[index] += 1
         p = 1.0 / dimension
         sigma = math.sqrt(p * (1 - p) / draws)
         assert np.all(np.abs(counts / draws - p) <= 3 * sigma)
 
     def test_clamps_at_boundaries(self):
-        high = np.array([EPSILON_CEILING])
-        out, _ = propose(high, 0.5, ScriptedRng([0.0, 0.0, 0.0]))
-        assert out[0] == EPSILON_CEILING
-        low = np.array([1e-30])
-        out, _ = propose(low, 0.5, ScriptedRng([0.0, 0.9, 0.0]))
-        assert out[0] == 1e-30
+        _, value = _move([EPSILON_CEILING], 0.5, 0.0, 0.0, 0.0)
+        assert value == EPSILON_CEILING
+        _, value = _move([1e-30], 0.5, 0.0, 0.9, 0.0)
+        assert value == 1e-30
 
 
 class TestAcceptanceProbability:
@@ -163,8 +155,8 @@ class TestAnneal:
         tree, binding = zero_error_model()
         config = AnnealConfig(num_steps=50, seed=3)
         result = anneal(tree, binding, 0.5, config)
-        assert result.trace[0].mode == "cost"
-        assert all(rec.mode == "cost" for rec in result.trace)
+        assert result.trace.cost_mode[0]
+        assert all(result.trace.cost_mode)
         assert result.feasible
         assert result.best_cost <= 0.0 + 1e-12
         assert result.steps_to_feasible == 0
@@ -197,40 +189,39 @@ class TestAnneal:
         result = anneal(tree, binding, target, config)
         initial_error = total_error(tree, binding, [0.1, 0.1, 0.1])
         previous_error = initial_error
-        for rec in result.trace:
-            expected = "cost" if previous_error <= target else "error"
-            assert rec.mode == expected
-            previous_error = rec.error
+        for cost_mode, error in zip(result.trace.cost_mode, result.trace.error):
+            assert cost_mode == (previous_error <= target)
+            previous_error = error
 
     def test_first_step_runs_at_beta_zero(self):
         # the linear ramp starts at beta = 0, where every move is accepted
         tree, binding = tfim_problem(n=6)
         for seed in range(8):
             result = anneal(tree, binding, 0.1, AnnealConfig(num_steps=5, seed=seed))
-            assert result.trace[0].accepted
+            assert result.trace.accepted[0]
 
     def test_downhill_moves_always_accepted(self):
         tree, binding = tfim_problem(n=6)
-        result = anneal(tree, binding, 0.1, AnnealConfig(num_steps=2000, seed=13))
-        assert any(not rec.accepted for rec in result.trace)
-        for rec in result.trace:
-            if rec.delta_e <= 0:
-                assert rec.accepted
+        trace = anneal(tree, binding, 0.1, AnnealConfig(num_steps=2000, seed=13)).trace
+        assert not all(trace.accepted)
+        for delta_e, accepted in zip(trace.delta_e, trace.accepted):
+            if delta_e <= 0:
+                assert accepted
 
     def test_rejected_steps_leave_state_bit_identical(self):
         tree, binding = tfim_problem(n=6)
-        result = anneal(tree, binding, 0.1, AnnealConfig(num_steps=2000, seed=13))
-        cost, error = result.trace[0].cost, result.trace[0].error
-        for rec in result.trace[1:]:
-            if not rec.accepted:
-                assert rec.cost == cost and rec.error == error
-            cost, error = rec.cost, rec.error
+        trace = anneal(tree, binding, 0.1, AnnealConfig(num_steps=2000, seed=13)).trace
+        cost, error = trace.cost[0], trace.error[0]
+        for step in range(1, len(trace)):
+            if not trace.accepted[step]:
+                assert trace.cost[step] == cost and trace.error[step] == error
+            cost, error = trace.cost[step], trace.error[step]
 
     def test_best_cost_is_min_over_feasible_states(self):
         tree, binding = tfim_problem(n=6)
         target = 0.1
         result = anneal(tree, binding, target, AnnealConfig(num_steps=3000, seed=5))
-        feasible_costs = [rec.cost for rec in result.trace if rec.error <= target]
+        feasible_costs = [c for c, e in zip(result.trace.cost, result.trace.error) if e <= target]
         assert result.feasible
         assert result.best_cost == min(feasible_costs)
         assert result.best_cost <= result.first_feasible_cost
@@ -296,6 +287,33 @@ class TestAnneal:
         self, reference_engine, n, preset, k, target, config, theta_init, expected
     ):
         self.test_pinned_trajectories(None, n, preset, k, target, config, theta_init, expected)
+
+    @PINNED
+    @pytest.mark.parametrize("steps", [1, 7, 2**20])
+    def test_slice_and_block_sizes_do_not_change_chains(
+        self, kernel_engine, monkeypatch, steps, n, preset, k, target, config, theta_init,
+        expected,
+    ):
+        # the kernel runs a chain in slices and the reference engine draws its
+        # uniforms in blocks; neither size may change a chain, traces and
+        # stops partway through a slice or block included
+        tree, binding = build_tfim_model(TfimConfig(n=n), preset, k)
+        monkeypatch.setattr(ANNEAL, "_SLICE_STEPS", steps)
+        monkeypatch.setattr(ANNEAL, "_BLOCK_STEPS", steps)
+
+        def run():
+            return (anneal(tree, binding, target, config, theta_init=theta_init),
+                    find_feasible(tree, binding, target, config, theta_init=theta_init))
+
+        kernel = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(ANNEAL, "_chain_kernel", lambda: None)
+            reference = run()
+        result, (_, steps_to_feasible) = kernel
+        assert (result.best_cost, result.steps_to_feasible, result.acceptance_rate) == expected
+        assert steps_to_feasible == expected[1]
+        assert len(result.trace) == config.num_steps
+        assert repr(kernel) == repr(reference)
 
     # (0.1, 1e-3, 1e-6) has error 0.86 on the n=4 three-parameter model
     @pytest.mark.parametrize("run", [

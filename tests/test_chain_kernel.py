@@ -9,9 +9,11 @@ itself).
 import importlib
 import logging
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -215,49 +217,113 @@ def test_cache_reuses_and_rebuilds(kernel_engine, monkeypatch, tmp_path):
         ANNEAL._chain_kernel.cache_clear()
 
 
-def test_build_drops_other_builds_and_cached_load_keeps_them(kernel_engine, monkeypatch, tmp_path):
+def test_build_keeps_the_most_recently_used_builds(kernel_engine, monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     directory = tmp_path / "errorbudget"
     directory.mkdir(mode=0o700)
-    old_build = directory / "_chain-0123456789abcdef.so"
-    old_build.write_bytes(b"a build of another source")
+    old_builds = [directory / f"_chain-{i:016x}.so" for i in range(5)]
+    for age, build in enumerate(old_builds):  # old_builds[0] used last
+        build.write_bytes(b"a build of another source")
+        os.utime(build, (1e9 - age, 1e9 - age))
     unrelated = directory / "notes.txt"
     unrelated.write_text("not a build")
     ANNEAL._chain_kernel.cache_clear()
     try:
         assert chain_engine() == "c"
-        [library] = directory.glob("_chain-*.so")
-        assert library != old_build and unrelated.exists()
+        [library] = set(directory.glob("_chain-*.so")) - set(old_builds)
+        kept = sorted(directory.glob("_chain-*.so"))
+        assert kept == sorted([library, *old_builds[:ANNEAL._KEPT_BUILDS - 1]])
+        assert unrelated.exists()
 
-        # loading the cached build leaves every other file alone
-        old_build.write_bytes(b"a build of another source")
+        # loading the cached build removes nothing and marks it used now
+        os.utime(library, (1e9 - 10, 1e9 - 10))
         ANNEAL._chain_kernel.cache_clear()
         assert chain_engine() == "c"
-        assert sorted(directory.glob("_chain-*.so")) == sorted([library, old_build])
+        assert sorted(directory.glob("_chain-*.so")) == kept
+        assert library.stat().st_mtime > 1e9
     finally:
         ANNEAL._chain_kernel.cache_clear()
 
 
-def test_error_while_drawing_uniforms_stops_the_chain(kernel_engine, monkeypatch):
-    # an interrupt (Ctrl-C) arrives in the Python code that refills the
-    # kernel's uniforms; it must stop the chain and propagate, not be lost
-    class Interrupt(Exception):
-        pass
+def test_alternating_sources_build_each_once(kernel_engine, monkeypatch, tmp_path):
+    # two checkouts whose sources differ share one cache; a define stands in
+    # for the second source, as it changes the build key the same way
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    builds = []
+    compile_kernel = ANNEAL._compile_kernel
 
-    class FailingGenerator:
-        def __init__(self, seed):
-            self.blocks = 0
+    def counted(*args):
+        builds.append(args[-1])
+        compile_kernel(*args)
 
-        def random(self, out):
-            self.blocks += 1
-            if self.blocks == 3:
-                raise Interrupt
-            out[:] = 0.5
+    monkeypatch.setattr(ANNEAL, "_compile_kernel", counted)
+    flags = {"a": ANNEAL._CFLAGS, "b": (*ANNEAL._CFLAGS, "-DERRORBUDGET_OTHER_SOURCE")}
+    try:
+        for source in "ababab":
+            monkeypatch.setattr(ANNEAL, "_CFLAGS", flags[source])
+            ANNEAL._chain_kernel.cache_clear()
+            assert chain_engine() == "c"
+    finally:
+        ANNEAL._chain_kernel.cache_clear()
+    assert len(builds) == len(set(builds)) == 2
 
-    monkeypatch.setattr(ANNEAL.np.random, "default_rng", FailingGenerator)
-    tree, binding = build_tfim_model(TfimConfig(n=6))
-    with pytest.raises(Interrupt):
-        anneal(tree, binding, 0.1, AnnealConfig(num_steps=10_000), record_trace=False)
+
+def test_ctrl_c_stops_a_long_chain(kernel_engine):
+    # the kernel returns to Python between slices, where Ctrl-C is raised
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import signal\n"
+         "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+         "from errorbudget import AnnealConfig, anneal, build_tfim_model, TfimConfig\n"
+         "tree, binding = build_tfim_model(TfimConfig(n=10))\n"
+         "anneal(tree, binding, 0.1, AnnealConfig(num_steps=50), record_trace=False)\n"
+         "print('running', flush=True)\n"
+         "anneal(tree, binding, 1e-30, AnnealConfig(num_steps=10**9), record_trace=False)\n"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    try:
+        assert proc.stdout.readline() == "running\n"
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        _, stderr = proc.communicate(timeout=30)
+        waited = time.monotonic() - sent
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "KeyboardInterrupt" in stderr, stderr[-2000:]
+    assert proc.returncode != 0
+    assert waited < 5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 2, 2**130 + 5])
+def test_kernel_stream_is_seeded_as_default_rng(seed):
+    # 2**130 + 5 has five 32-bit words, one more than SeedSequence's pool
+    state = np.random.default_rng(seed).bit_generator.state["state"]
+    assert ANNEAL._pcg64_seeded(seed) == (state["state"], state["inc"])
+    if seed < 2**63:  # AnnealConfig takes numpy integers too
+        assert ANNEAL._pcg64_seeded(np.int64(seed)) == (state["state"], state["inc"])
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        ANNEAL._pcg64_seeded(-1 - seed)
+
+
+def test_chains_leave_numpy_random_unimported(kernel_engine):
+    # numpy.random, and OpenSSL through its secrets import, cost several MB of
+    # resident memory that the kernel's own stream does without
+    proc = run_python(
+        "import sys\n"
+        "from errorbudget import (AnnealConfig, anneal, as_ceiled, build_tfim_model,\n"
+        "                         TfimConfig, total_cost)\n"
+        "from errorbudget.anneal import chain_engine\n"
+        "tree, binding = build_tfim_model(TfimConfig(n=10))\n"
+        "result = anneal(tree, binding, 0.1, AnnealConfig(num_steps=1000, restarts=2, delta=2.0))\n"
+        "total_cost(as_ceiled(tree), binding, result.best_theta)\n"
+        "assert chain_engine() == 'c'\n"
+        "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def run_python(code: str, **env) -> subprocess.CompletedProcess:

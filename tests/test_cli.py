@@ -64,13 +64,29 @@ class TestOptimizeCommand:
         assert payload["feasible"] is True
         assert payload["best_error"] <= 0.1
         assert set(payload["best_theta_by_group"]) == {"eps_qpe", "eps_trotter", "eps_r"}
-        # reported hardware counts use integer step rounding
+        # reported hardware counts use integer step rounding, and still meet the target
         assert payload["best_cost_ceil"] >= payload["best_cost"]
+        assert payload["best_error_ceil"] <= 0.1
         tree, binding = load_model(model_file)
         theta = [payload["best_theta_by_group"][g] for g in binding.group_names]
         assert total_error(tree, binding, theta) == pytest.approx(
             payload["best_error"], rel=1e-12
         )
+
+    def test_point_infeasible_once_ceiled_exits_3(self, tmp_path, capsys):
+        # the best point meets 0.1, but rounding its step counts up does not
+        model = tmp_path / "model.json"
+        run_cli(capsys, "model", "tfim", "--n", "10", "--preset", "three-param",
+                "--out", str(model))
+        code, stdout, stderr = run_cli(
+            capsys, "optimize", str(model), "--epsilon", "0.1", "--restarts", "20",
+            "--seed", "1",
+        )
+        assert code == 3
+        payload = json.loads(stdout)
+        assert payload["feasible"] is True
+        assert payload["best_error"] <= 0.1 < payload["best_error_ceil"]
+        assert f"ceiled error {payload['best_error_ceil']!r} exceeds the target 0.1" in stderr
 
     def test_trace_flag_includes_trace(self, model_file, capsys):
         code, stdout, _ = run_cli(

@@ -22,7 +22,7 @@
 #define REL_FLOOR 1e-300  /* anneal._REL_FLOOR */
 #define EPS_FLOOR 1e-30   /* model.EPSILON_FLOOR */
 
-struct table {                  /* CompiledModel.chain_table */
+struct table {                  /* a CompiledModel's arrays, read in place */
     int64_t n_nodes, dim;
     const int64_t *slot;        /* group of the node's tolerance, -1 if none */
     const int8_t *needs_eps;    /* edge multiplicities depend on the tolerance */

@@ -44,11 +44,10 @@ from .model import (
     ChainEvaluator,
     CompiledModel,
     EvaluationError,
-    ModelError,
     ParameterBinding,
     ToleranceVector,
     compile_model,
-    validate_model,
+    validate_model,  # unused here since compiling validates; perfbench/tracing.py wraps this name
 )
 
 #: Denominator floor for relative objective changes.
@@ -73,7 +72,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 class _Table(ctypes.Structure):
-    """``struct table`` of ``_chain.c``: a model's :attr:`CompiledModel.chain_table`."""
+    """``struct table`` of ``_chain.c``: a :class:`CompiledModel`'s arrays, by field name."""
 
     _fields_ = [("n_nodes", ctypes.c_int64), ("dim", ctypes.c_int64)] + [
         (name, ctypes.c_void_p)
@@ -314,11 +313,6 @@ def _validated(model: BudgetNode | CompiledModel, binding: ParameterBinding) -> 
         if binding is not model.binding and binding != model.binding:
             raise ValueError("binding differs from the one the model was compiled with")
         return model
-    report = validate_model(model, binding)
-    if not report.ok:
-        raise ModelError(
-            "model failed validation: " + "; ".join(report.violations)
-        )
     return compile_model(model, binding)
 
 
@@ -536,10 +530,10 @@ def _pcg64_seeded(seed: int) -> tuple[int, int]:
 def _kernel_chain(kernel, compiled, eps_target, config, theta, total_steps, seed,
                   record_trace, stop_at_feasible):
     """The chain in the compiled kernel; returns what :func:`_reference_chain` does."""
-    table = compiled.chain_table
-    c_table = _Table(n_nodes=compiled.n_nodes, dim=compiled.dimension,
-                     **{name: array.ctypes.data for name, array in table.items()})
-    nodes = (ctypes.c_double * (4 * compiled.n_nodes + 2 * table["kid"].size + 1))()
+    c_table = _Table(n_nodes=compiled.n_nodes, dim=compiled.dimension, **{
+        name: getattr(compiled, name).ctypes.data for name, _ in _Table._fields_[2:]
+    })
+    nodes = (ctypes.c_double * (4 * compiled.n_nodes + 2 * compiled.kid.size + 1))()
     points = [(ctypes.c_double * compiled.dimension)(*theta) for _ in _POINTS]
     columns = [
         np.zeros(total_steps, dtype=kind)

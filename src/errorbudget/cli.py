@@ -25,7 +25,7 @@ import numpy as np
 
 from .anneal import AnnealConfig, InfeasibleError, anneal
 from .experiments import KINDS, default_spec, run_config, run_experiment
-from .model import ModelError, as_ceiled, total_cost, total_error, validate_model
+from .model import ModelError, as_ceiled, compile_model, total_cost, total_error, validate_model
 from .modelio import ModelFormatError, load_model, save_model
 from .normlab import (
     IsingEvolutionSpec,
@@ -109,17 +109,17 @@ def _cmd_model_tfim(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     tree, binding = load_model(args.model)
-    report = validate_model(tree, binding)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"{args.model}: {violation}", file=sys.stderr)
+    try:
+        compiled = compile_model(tree, binding)
+    except ModelError as exc:
+        print(f"{args.model}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.epsilon <= 0:
         print(f"error target must be positive, got {args.epsilon}", file=sys.stderr)
         return EXIT_EXHAUSTED
     config = _anneal_config(args, AnnealConfig())
-    config, _ = run_config(tree, binding, args.epsilon, config, config.seed)
-    result = anneal(tree, binding, args.epsilon, config, record_trace=args.trace)
+    config, _ = run_config(compiled, binding, args.epsilon, config, config.seed)
+    result = anneal(compiled, binding, args.epsilon, config, record_trace=args.trace)
 
     output = result.to_dict(include_trace=args.trace)
     output["epsilon_target"] = args.epsilon

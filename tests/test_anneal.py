@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from errorbudget.model import (
     BudgetNode,
     EvaluationError,
     LeafCost,
+    ModelError,
     Multiplicity,
     NodeKind,
     ParameterBinding,
@@ -342,6 +344,20 @@ class TestAnneal:
         bad_binding = ParameterBinding.from_dict({"only": ["eps_qpe"]})
         with pytest.raises(Exception, match="validation"):
             anneal(tree, bad_binding, 0.1, AnnealConfig(num_steps=10))
+
+    @pytest.mark.parametrize("run", [anneal, find_feasible])
+    def test_negative_coefficient_rejected(self, run):
+        # compiled as it stands, this tree has negative cost and error, so
+        # every chain would report it feasible
+        tree, binding = tfim_problem(n=4)
+        edge = tree.children[0]
+        mult = replace(edge.multiplicity, coefficient=-3.0)
+        tree = replace(tree, children=(replace(edge, multiplicity=mult),))
+        named = "phase_estimation/trotter_step: non-positive multiplicity coefficient"
+        with pytest.raises(ModelError, match=named):
+            run(tree, binding, 0.1, AnnealConfig())
+        with pytest.raises(ModelError, match=named):
+            run(compile_model(tree, binding), binding, 0.1, AnnealConfig())
 
 
 class TestFindFeasible:

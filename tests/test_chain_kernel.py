@@ -6,9 +6,11 @@ through ``repr``, which spells out every float exactly (and NaN equal to
 itself).
 """
 
+import ctypes
 import importlib
 import logging
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -125,6 +127,56 @@ def test_overflowing_model_agrees_and_stays_silent(kernel_engine, monkeypatch):
     assert kernel.acceptance_rate == 0.0
     assert not kernel.feasible
     assert kernel.min_error == np.inf
+
+
+def declared_table() -> dict:
+    """The pointer fields of ``struct table`` in ``_chain.c``, with their element dtypes."""
+    dtypes = {"int64_t": np.int64, "int8_t": np.int8, "double": np.float64}
+    source = (ROOT / "src" / "errorbudget" / "_chain.c").read_text()
+    body = re.search(r"struct table \{(.*?)\};", source, re.S).group(1)
+    return {
+        name: dtypes[ctype]
+        for ctype, names in re.findall(r"const (\w+) \*(\w+(?:, \*\w+)*);", body)
+        for name in names.split(", *")
+    }
+
+
+def table_models():
+    rng = np.random.default_rng(43)
+    models = [pytest.param(*random_tree(rng)[:2], id=f"random-{i}") for i in range(4)]
+    leaf = BudgetNode.leaf("gate", "eps", LeafCost(3.0, 4.0))
+    noop = BudgetNode.leaf("noop", None, LeafCost(0.0, 4.0))
+    return models + [
+        pytest.param(leaf, ParameterBinding.from_dict({"eps": ["eps"]}), id="edgeless-root"),
+        pytest.param(BudgetNode.composite("root", None, [(Multiplicity(2.0), noop)]),
+                     ParameterBinding.from_dict({}), id="dimension-0"),
+    ]
+
+
+@pytest.mark.parametrize("tree, binding", table_models())
+def test_kernel_reads_compiled_arrays_of_the_declared_layout(
+    tree, binding, kernel_engine, monkeypatch
+):
+    # the kernel trusts these pointers: a wrong dtype, stride or length
+    # would corrupt memory without an error
+    compiled = compile_model(tree, binding)
+    declared = declared_table()
+    fields = [name for name, kind in ANNEAL._Table._fields_ if kind is ctypes.c_void_p]
+    assert fields == list(declared)
+    n, edges = compiled.n_nodes, int(compiled.kid_ptr[-1])
+    sizes = dict(slot=n, needs_eps=n, has_law=n, law=3 * n, kid_ptr=n + 1, kid=edges,
+                 coeff=edges, nexp=edges, ceil=edges, dirty_ptr=compiled.dimension + 1,
+                 dirty=int(compiled.dirty_ptr[-1]))
+    for name in fields:
+        array = getattr(compiled, name)
+        assert isinstance(array, np.ndarray), name
+        assert array.dtype == declared[name], name
+        assert array.flags.c_contiguous and array.size == sizes[name], name
+    config = AnnealConfig(num_steps=200, restarts=2)
+    kernel, reference = on_both_engines(
+        monkeypatch, lambda: anneal(compiled, binding, 1.0, config)
+    )
+    assert repr(kernel) == repr(reference)
 
 
 def test_fallback_without_compiler(kernel_engine, monkeypatch, tmp_path, caplog):

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -115,6 +116,45 @@ class TestOptimizeCommand:
         code, _, stderr = run_cli(capsys, "optimize", str(bad), "--epsilon", "0.1")
         assert code == 2
         assert "unknown slot" in stderr or "unbound" in stderr
+
+    @pytest.mark.parametrize("where, field, value", [
+        (("children", 0, "node", "children", 0, "node", "leaf_cost"), "gates_per_unit_logeps",
+         float("nan")),
+        (("children", 0, "multiplicity"), "coefficient", float("inf")),
+    ])
+    def test_non_finite_model_number_exits_2(self, tmp_path, capsys, where, field, value):
+        path = tmp_path / "model.json"
+        run_cli(capsys, "model", "tfim", "--n", "4", "--preset", "three-param", "--out", str(path))
+        document = json.loads(path.read_text())
+        part = document["root"]
+        for key in where:
+            part = part[key]
+        part[field] = value
+        path.write_text(json.dumps(document))  # as JSON's NaN and Infinity
+        code, stdout, stderr = run_cli(capsys, "optimize", str(path), "--epsilon", "0.1")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"{path}: model failed validation: ")
+        assert "non-finite" in stderr
+
+    def test_tune_delta_run_validates_the_model_once(self, model_file, capsys, monkeypatch):
+        modules = [importlib.import_module(f"errorbudget.{name}")
+                   for name in ("model", "anneal", "experiments", "cli")]
+        validate = modules[0].validate_model
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return validate(*args)
+
+        for module in modules:  # every name a caller can reach it by
+            monkeypatch.setattr(module, "validate_model", counted)
+        code, _, _ = run_cli(
+            capsys, "optimize", str(model_file), "--epsilon", "0.1", "--steps", "300",
+            "--tune-delta",
+        )
+        assert code in (0, 3)  # feasibility does not matter here
+        assert len(calls) == 1
 
     def test_zero_epsilon_exits_3(self, model_file, capsys):
         code, _, stderr = run_cli(capsys, "optimize", str(model_file), "--epsilon", "0")

@@ -11,7 +11,9 @@ from errorbudget.model import (
     EvaluationError,
     ExpansionLimitError,
     LeafCost,
+    ModelError,
     Multiplicity,
+    NodeKind,
     ParameterBinding,
     Rounding,
     ToleranceVector,
@@ -95,6 +97,13 @@ class TestValidation:
         assert not report.ok
         assert any("doubly bound" in v for v in report.violations)
 
+    def test_duplicate_group_name_reported_once(self):
+        tree, _ = build_tfim_model(TfimConfig(n=4))
+        bad = ParameterBinding((("b", ("eps_qpe",)), ("a", ("eps_trotter",)),
+                                ("a", ("eps_r",)), ("b", ())))
+        duplicates = [v for v in validate_model(tree, bad).violations if "duplicate" in v]
+        assert duplicates == ["binding: duplicate group name 'b'"]
+
     def test_single_leaf_single_group(self):
         tree, binding = single_leaf_model()
         assert validate_model(tree, binding).ok
@@ -111,6 +120,71 @@ class TestValidation:
         binding = ParameterBinding.from_dict({"r": ["eps_root"], "e": ["eps"]})
         report = validate_model(tree, binding)
         assert any("non-positive multiplicity" in v for v in report.violations)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "coefficient", "exponent", "count", "gates_per_unit_logeps", "additive_offset",
+    ])
+    def test_non_finite_numbers_name_node_and_field(self, field, value):
+        mult, law = Multiplicity(2.0, 1.0), LeafCost(3.0, 4.0, 1.0)
+        if field in ("coefficient", "exponent"):
+            mult = replace(mult, **{field: value})
+        else:
+            law = replace(law, **{field: value})
+        leaf = BudgetNode.leaf("gate", "eps", law)
+        tree = BudgetNode.composite("root", "eps_root", [(mult, leaf)])
+        binding = ParameterBinding.from_dict({"r": ["eps_root"], "e": ["eps"]})
+        kind = "multiplicity " if field in ("coefficient", "exponent") else ""
+        named = f"root/gate: non-finite {kind}{field} {value}"
+        assert named in validate_model(tree, binding).violations
+
+
+def compile_violation(tree, binding) -> str:
+    with pytest.raises(ModelError, match="^model failed validation: ") as excinfo:
+        compile_model(tree, binding)
+    return str(excinfo.value)
+
+
+class TestCompileValidates:
+    """Compiling runs the full validation; no ill-formed table reaches an evaluator."""
+
+    @pytest.mark.parametrize("mult, law, named", [
+        (Multiplicity(-3.0, 1.0), LeafCost(2.0, 4.0), "non-positive multiplicity coefficient"),
+        (Multiplicity(0.0), LeafCost(2.0, 4.0), "non-positive multiplicity coefficient"),
+        (Multiplicity(2.0, -0.5), LeafCost(2.0, 4.0), "negative multiplicity exponent"),
+        (Multiplicity(2.0, 1.0), LeafCost(-2.0, 4.0), "negative leaf count"),
+        (Multiplicity(2.0, 1.0), LeafCost(2.0, -4.0), "negative gates-per-log factor"),
+        (Multiplicity(2.0, 1.0), LeafCost(2.0, 4.0, -1.0), "negative additive offset"),
+    ])
+    def test_bad_numbers(self, mult, law, named):
+        leaf = BudgetNode.leaf("gate", "eps", law)
+        tree = BudgetNode.composite("root", "eps_root", [(mult, leaf)])
+        binding = ParameterBinding.from_dict({"r": ["eps_root"], "e": ["eps"]})
+        assert f"root/gate: {named}" in compile_violation(tree, binding)
+
+    def test_leaf_with_children(self):
+        gate = BudgetNode.leaf("gate", "eps", LeafCost(1.0, 4.0))
+        tree = BudgetNode("root", NodeKind.LEAF, "eps", (ChildEdge(Multiplicity(1.0), gate),),
+                          LeafCost(1.0, 4.0))
+        binding = ParameterBinding.from_dict({"e": ["eps"]})
+        assert "root: leaf with children" in compile_violation(tree, binding)
+
+    def test_unbound_slot(self):
+        tree, _ = single_leaf_model()
+        assert "slot 'eps' unbound" in compile_violation(tree, ParameterBinding.from_dict({}))
+
+    def test_exponent_below_a_node_without_slot(self):
+        leaf, binding = single_leaf_model()
+        tree = BudgetNode.composite("root", None, [(Multiplicity(2.0, 1.0), leaf)])
+        assert "'root', which has no slot" in compile_violation(tree, binding)
+
+    def test_every_violation_is_named(self):
+        leaf = BudgetNode.leaf("gate", "eps", LeafCost(-1.0, 4.0))
+        tree = BudgetNode.composite("root", "eps_root", [(Multiplicity(-3.0), leaf)])
+        message = compile_violation(tree, ParameterBinding.from_dict({"e": ["eps"]}))
+        for named in ("non-positive multiplicity coefficient", "negative leaf count",
+                      "slot 'eps_root' unbound"):
+            assert named in message
 
 
 class TestTotalCost:

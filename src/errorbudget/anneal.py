@@ -31,6 +31,7 @@ import math
 import numbers
 import os
 import sys
+import weakref
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -527,14 +528,27 @@ def _pcg64_seeded(seed: int) -> tuple[int, int]:
     return state, inc
 
 
+#: Each compiled model's ``_Table``, built on its first kernel chain.  The
+#: table points into the model's arrays, so it lives exactly as long as the
+#: model does.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _table(compiled: CompiledModel) -> _Table:
+    table = _TABLES.get(compiled)
+    if table is None:
+        table = _TABLES[compiled] = _Table(n_nodes=compiled.n_nodes, dim=compiled.dimension, **{
+            name: getattr(compiled, name).ctypes.data for name, _ in _Table._fields_[2:]
+        })
+    return table
+
+
 def _kernel_chain(kernel, compiled, eps_target, config, theta, total_steps, seed,
                   record_trace, stop_at_feasible):
     """The chain in the compiled kernel; returns what :func:`_reference_chain` does."""
-    c_table = _Table(n_nodes=compiled.n_nodes, dim=compiled.dimension, **{
-        name: getattr(compiled, name).ctypes.data for name, _ in _Table._fields_[2:]
-    })
     nodes = (ctypes.c_double * (4 * compiled.n_nodes + 2 * compiled.kid.size + 1))()
-    points = [(ctypes.c_double * compiled.dimension)(*theta) for _ in _POINTS]
+    points = np.array((theta,) * len(_POINTS), dtype=np.float64)  # one row per name
+    first_point, row_bytes = points.ctypes.data, points.strides[0]
     columns = [
         np.zeros(total_steps, dtype=kind)
         for kind in (bool, float, float, bool, float)  # as named in _COLUMNS
@@ -546,14 +560,14 @@ def _kernel_chain(kernel, compiled, eps_target, config, theta, total_steps, seed
         total_steps=total_steps, stop_at_feasible=stop_at_feasible,
         state_hi=state >> 64, state_lo=state & _MASK64, inc_hi=inc >> 64, inc_lo=inc & _MASK64,
         nodes=ctypes.addressof(nodes),
-        **{name: ctypes.addressof(row) for name, row in zip(_POINTS, points)},
+        **{name: first_point + i * row_bytes for i, name in enumerate(_POINTS)},
         **{name: column.ctypes.data for name, column in zip(_COLUMNS, columns)},
     )
-    table_ref, chain_ref = ctypes.byref(c_table), ctypes.byref(chain)
+    table_ref, chain_ref = ctypes.byref(_table(compiled)), ctypes.byref(chain)
     kernel.eb_start_chain(table_ref, chain_ref)
     while kernel.eb_run_chain(table_ref, chain_ref, _SLICE_STEPS):
         pass
-    _, best, first, min_theta = (row[:] for row in points)
+    _, best, first, min_theta = points.tolist()
     steps = chain.steps_run
     return (
         best, chain.best_cost, chain.best_error,

@@ -26,7 +26,7 @@ import numpy as np
 from .anneal import AnnealConfig, InfeasibleError, anneal
 from .experiments import KINDS, default_spec, run_config, run_experiment
 from .model import ModelError, as_ceiled, compile_model, total_cost, total_error, validate_model
-from .modelio import ModelFormatError, load_model, save_model
+from .modelio import ModelFormatError, load_model, model_to_json, save_model
 from .normlab import (
     IsingEvolutionSpec,
     fit_loglog_slope,
@@ -100,10 +100,7 @@ def _cmd_model_tfim(args: argparse.Namespace) -> int:
         save_model(tree, binding, args.out)
         print(f"wrote {args.out}")
     else:
-        from .modelio import model_to_dict
-
-        json.dump(model_to_dict(tree, binding), sys.stdout, indent=2)
-        print()
+        sys.stdout.write(model_to_json(tree, binding))
     return EXIT_OK
 
 

@@ -26,11 +26,18 @@ A model file is a JSON document::
 The optimization variable has one entry per binding group, in the order the
 groups appear in the file.  Unknown keys are rejected everywhere so typos
 cannot silently change a model.
+
+Saved files have the layout of ``json.dumps(model_to_dict(...), indent=2)``
+byte for byte; :func:`model_to_json` writes that text straight from the tree,
+without the pure-Python encoder that ``indent`` selects.  Any JSON layout
+loads.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Any
 
@@ -58,6 +65,9 @@ class ModelFormatError(ValueError):
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+    keys = obj.keys()
+    if keys <= allowed and keys >= required:
+        return
     for key in obj:
         if key not in allowed:
             raise ModelFormatError(f"unknown key {key!r}", where)
@@ -67,39 +77,46 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
 
 
 def _number(obj: dict, key: str, where: str, default: float | None = None) -> float:
+    value = obj.get(key)
+    if type(value) is float:
+        return value
     if key not in obj:
         if default is None:
             raise ModelFormatError(f"missing key {key!r}", where)
         return default
-    value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFormatError(f"key {key!r} must be a number", where)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        raise ModelFormatError(f"key {key!r} is out of the floating-point range", where) from None
+
+
+_ROUNDINGS = {rounding.value: rounding for rounding in Rounding}
+_MULTIPLICITY_KEYS = {"coefficient", "exponent", "rounding"}
+_LEAF_COST_KEYS = {"count", "gates_per_unit_logeps", "additive_offset"}
+_NODE_KEYS = {"name", "kind", "self_error_group", "children", "leaf_cost"}
+_CHILD_KEYS = {"multiplicity", "node"}
 
 
 def _parse_multiplicity(obj: Any, where: str) -> Multiplicity:
     if not isinstance(obj, dict):
         raise ModelFormatError("multiplicity must be an object", where)
-    _require_keys(obj, {"coefficient", "exponent", "rounding"}, {"coefficient"}, where)
+    _require_keys(obj, _MULTIPLICITY_KEYS, {"coefficient"}, where)
     rounding = obj.get("rounding", "continuous")
     if rounding not in ("continuous", "ceil"):
         raise ModelFormatError(f"unknown rounding {rounding!r}", where)
     return Multiplicity(
         coefficient=_number(obj, "coefficient", where),
         exponent=_number(obj, "exponent", where, default=0.0),
-        rounding=Rounding(rounding),
+        rounding=_ROUNDINGS[rounding],
     )
 
 
 def _parse_leaf_cost(obj: Any, where: str) -> LeafCost:
     if not isinstance(obj, dict):
         raise ModelFormatError("leaf_cost must be an object", where)
-    _require_keys(
-        obj,
-        {"count", "gates_per_unit_logeps", "additive_offset"},
-        {"count", "gates_per_unit_logeps"},
-        where,
-    )
+    _require_keys(obj, _LEAF_COST_KEYS, {"count", "gates_per_unit_logeps"}, where)
     return LeafCost(
         count=_number(obj, "count", where),
         gates_per_unit_logeps=_number(obj, "gates_per_unit_logeps", where),
@@ -110,12 +127,7 @@ def _parse_leaf_cost(obj: Any, where: str) -> LeafCost:
 def _parse_node(obj: Any, where: str) -> BudgetNode:
     if not isinstance(obj, dict):
         raise ModelFormatError("node must be an object", where)
-    _require_keys(
-        obj,
-        {"name", "kind", "self_error_group", "children", "leaf_cost"},
-        {"name", "kind"},
-        where,
-    )
+    _require_keys(obj, _NODE_KEYS, {"name", "kind"}, where)
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise ModelFormatError("node name must be a non-empty string", where)
@@ -143,7 +155,7 @@ def _parse_node(obj: Any, where: str) -> BudgetNode:
         cwhere = f"{where}.children[{i}]"
         if not isinstance(child, dict):
             raise ModelFormatError("child entry must be an object", cwhere)
-        _require_keys(child, {"multiplicity", "node"}, {"multiplicity", "node"}, cwhere)
+        _require_keys(child, _CHILD_KEYS, _CHILD_KEYS, cwhere)
         edges.append(
             (
                 _parse_multiplicity(child["multiplicity"], f"{cwhere}.multiplicity"),
@@ -213,6 +225,79 @@ def model_to_dict(tree: BudgetNode, binding: ParameterBinding) -> dict:
     }
 
 
+def _value(value: Any, pad: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at indentation ``pad``."""
+    if type(value) is float and -math.inf < value < math.inf:
+        return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _string(value)
+    # NaN, infinities, bools, None, subclasses and containers, as the encoder has them
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _write_node(node: BudgetNode, pad: str, out: list[str]) -> None:
+    """Append ``node``'s object, its opening brace already at indentation ``pad``."""
+    p1 = pad + "  "
+    out.append(f'{{\n{p1}"name": {_value(node.name, p1)},')
+    out.append(f'\n{p1}"kind": {_value(node.kind.value, p1)}')
+    if node.self_error_slot is not None:
+        out.append(f',\n{p1}"self_error_group": {_value(node.self_error_slot, p1)}')
+    p2 = p1 + "  "
+    if node.kind is NodeKind.LEAF:
+        law = node.leaf_cost
+        assert law is not None
+        out.append(
+            f',\n{p1}"leaf_cost": {{\n{p2}"count": {_value(law.count, p2)},'
+            f'\n{p2}"gates_per_unit_logeps": {_value(law.gates_per_unit_logeps, p2)},'
+            f'\n{p2}"additive_offset": {_value(law.additive_offset, p2)}\n{p1}}}\n{pad}}}'
+        )
+        return
+    if not node.children:
+        out.append(f',\n{p1}"children": []\n{pad}}}')
+        return
+    p3, p4 = p2 + "  ", p2 + "    "
+    out.append(f',\n{p1}"children": [')
+    separator = "\n"
+    for edge in node.children:
+        m = edge.multiplicity
+        out.append(
+            f'{separator}{p2}{{\n{p3}"multiplicity": {{'
+            f'\n{p4}"coefficient": {_value(m.coefficient, p4)},'
+            f'\n{p4}"exponent": {_value(m.exponent, p4)},'
+            f'\n{p4}"rounding": {_value(m.rounding.value, p4)}\n{p3}}},\n{p3}"node": '
+        )
+        _write_node(edge.node, p3, out)
+        out.append(f"\n{p2}}}")
+        separator = ",\n"
+    out.append(f"\n{p1}]\n{pad}}}")
+
+
+def model_to_json(tree: BudgetNode, binding: ParameterBinding) -> str:
+    """The model file's text: ``json.dumps(model_to_dict(tree, binding), indent=2) + "\\n"``.
+
+    Written straight from the tree, byte for byte as the standard library
+    writes the dict form: strings through ``encode_basestring_ascii``, finite
+    floats and ints through their ``repr``, every other value through
+    ``json.dumps``.
+    """
+    out = ['{\n  "root": ']
+    _write_node(tree, "  ", out)
+    out.append(',\n  "binding": {\n    "groups": ')
+    # a dict first, as in model_to_dict: a repeated name keeps its first place, last slots
+    groups = dict(binding.groups)
+    items = []
+    for name, slots in groups.items():
+        # a name that is not a string is written, or refused, by the encoder's rule for keys
+        key = _string(name) if isinstance(name, str) else json.dumps({name: 0})[1:-4]
+        text = ",\n        ".join([_value(slot, "        ") for slot in slots])
+        items.append(f"{key}: " + (f"[\n        {text}\n      ]" if slots else "[]"))
+    out.append("{\n      " + ",\n      ".join(items) + "\n    }" if items else "{}")
+    out.append("\n  }\n}\n")
+    return "".join(out)
+
+
 def load_model(path: str | Path) -> tuple[BudgetNode, ParameterBinding]:
     """Load and parse a model file, anchoring syntax errors to line/column."""
     text = Path(path).read_text()
@@ -224,4 +309,4 @@ def load_model(path: str | Path) -> tuple[BudgetNode, ParameterBinding]:
 
 
 def save_model(tree: BudgetNode, binding: ParameterBinding, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(tree, binding), indent=2) + "\n")
+    Path(path).write_text(model_to_json(tree, binding))

@@ -63,3 +63,16 @@ def test_traced_items_reach_every_layer(tracing, tmp_path, monkeypatch):
                  "anneal.measure_acceptance", "anneal.grid", "model.chain_update",
                  "normlab.lemma1", "normlab.trotter"):
         assert tracer.calls[name] > 0, name
+
+
+def test_model_files_are_traced_through_their_path(tracing, tmp_path):
+    # the tracer counts file bytes through the ``path`` argument of both calls
+    modelio, tfim = MODULES["modelio"], MODULES["tfim"]
+    tree, binding = tfim.build_tfim_model(TfimConfig(n=6), "redundancy", 2)
+    path = tmp_path / "model.json"
+    tracer = tracing.Tracer()
+    with tracer.installed(MODULES):
+        modelio.save_model(tree, binding, path=path)
+        modelio.load_model(path)
+    assert tracer.calls["modelio.save"] == tracer.calls["modelio.load"] == 1
+    assert tracer.counts["modelio.bytes"] == 2 * path.stat().st_size > 0

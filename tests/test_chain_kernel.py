@@ -7,6 +7,7 @@ itself).
 """
 
 import ctypes
+import gc
 import importlib
 import logging
 import os
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +179,28 @@ def test_kernel_reads_compiled_arrays_of_the_declared_layout(
         monkeypatch, lambda: anneal(compiled, binding, 1.0, config)
     )
     assert repr(kernel) == repr(reference)
+
+
+def test_one_table_per_compiled_model(kernel_engine, monkeypatch):
+    built = []
+
+    class CountedTable(ANNEAL._Table):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ANNEAL, "_Table", CountedTable)
+    tree, binding = build_tfim_model(TfimConfig(n=6), "redundancy", 2)
+    compiled = compile_model(tree, binding)
+    first = anneal(compiled, binding, 0.1, AnnealConfig(num_steps=300, restarts=3))
+    assert len(built) == 1
+    again = anneal(compiled, binding, 0.1, AnnealConfig(num_steps=300, restarts=3))
+    assert len(built) == 1 and repr(again) == repr(first)
+    # the table goes with its model
+    model = weakref.ref(compiled)
+    del compiled
+    gc.collect()
+    assert model() is None
 
 
 def test_fallback_without_compiler(kernel_engine, monkeypatch, tmp_path, caplog):

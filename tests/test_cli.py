@@ -42,6 +42,18 @@ class TestModelCommand:
         document = json.loads(stdout)
         assert document["root"]["name"] == "phase_estimation"
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "4"),
+        ("--n", "30", "--preset", "redundancy", "--redundant", "3"),
+        ("--n", "10", "--preset", "two-param", "--trotter-coefficient", "3"),
+    ])
+    def test_stdout_has_the_bytes_of_the_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "model.json"
+        code, stdout, _ = run_cli(capsys, "model", "tfim", *argv)
+        assert code == 0
+        assert run_cli(capsys, "model", "tfim", *argv, "--out", str(out))[0] == 0
+        assert stdout.encode() == out.read_bytes()
+
     def test_invalid_configuration_exits_2(self, capsys):
         code, _, stderr = run_cli(capsys, "model", "tfim", "--n", "1")
         assert code == 2
@@ -105,6 +117,22 @@ class TestOptimizeCommand:
         assert code == 1
         assert "parse error" in stderr
         assert ":1:" in stderr  # line-anchored
+
+    def test_number_beyond_float_range_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        run_cli(capsys, "model", "tfim", "--n", "4", "--out", str(path))
+        document = json.loads(path.read_text())
+        document["root"]["children"][0]["node"]["children"][0]["node"]["leaf_cost"]["count"] = (
+            10**400
+        )
+        path.write_text(json.dumps(document))
+        code, stdout, stderr = run_cli(capsys, "optimize", str(path), "--epsilon", "0.1")
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            "parse error: $.root.children[0].node.children[0].node.leaf_cost: "
+            "key 'count' is out of the floating-point range\n"
+        )
 
     def test_invalid_model_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -78,7 +78,7 @@ class _Table(ctypes.Structure):
     _fields_ = [("n_nodes", ctypes.c_int64), ("dim", ctypes.c_int64)] + [
         (name, ctypes.c_void_p)
         for name in ("slot", "needs_eps", "has_law", "law", "kid_ptr", "kid", "coeff", "nexp",
-                     "ceil", "dirty_ptr", "dirty")
+                     "ceil", "dirty_ptr", "dirty", "dirty_from")
     ]
 
 
@@ -528,6 +528,42 @@ def _pcg64_seeded(seed: int) -> tuple[int, int]:
     return state, inc
 
 
+class _SeedStream:
+    """The bounded integers ``numpy.random.default_rng(seed).integers`` draws, without numpy.
+
+    Steps PCG64 from :func:`_pcg64_seeded`, takes the XSL-RR 64-bit output
+    and bounds it with Lemire's rule as numpy does (Lemire, *Fast random
+    integer generation in an interval*, ACM TOMACS 2019): the high word of
+    ``x * (span + 1)``, drawing again while the low word is below
+    ``(2**64 - 1 - span) % (span + 1)``.  Only spans of more than 32 bits
+    are drawn (numpy draws narrower ones from buffered 32-bit words), which
+    covers the tuner's pilot seeds.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._state, self._inc = _pcg64_seeded(seed)
+
+    def _next64(self) -> int:
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        x = (state >> 64 ^ state) & _MASK64
+        r = state >> 122
+        return (x >> r | x << (64 - r)) & _MASK64
+
+    def integers(self, low: int, high: int) -> int:
+        """One integer in ``[low, high)``, as ``Generator.integers(low, high)`` draws it."""
+        span = high - 1 - low
+        if not (0 <= low and high <= 2**63 and span > _MASK32):
+            raise ValueError(f"need 0 <= low, high <= 2**63 and more than 2**32 values, "
+                             f"got [{low}, {high})")
+        values = span + 1
+        draw = self._next64() * values
+        if draw & _MASK64 < values:  # only then can it fall below the threshold
+            threshold = (_MASK64 - span) % values
+            while draw & _MASK64 < threshold:
+                draw = self._next64() * values
+        return low + (draw >> 64)
+
+
 #: Each compiled model's ``_Table``, built on its first kernel chain.  The
 #: table points into the model's arrays, so it lives exactly as long as the
 #: model does.
@@ -546,7 +582,7 @@ def _table(compiled: CompiledModel) -> _Table:
 def _kernel_chain(kernel, compiled, eps_target, config, theta, total_steps, seed,
                   record_trace, stop_at_feasible):
     """The chain in the compiled kernel; returns what :func:`_reference_chain` does."""
-    nodes = (ctypes.c_double * (4 * compiled.n_nodes + 2 * compiled.kid.size + 1))()
+    nodes = (ctypes.c_double * (4 * compiled.n_nodes + 4 * compiled.kid.size + 1))()
     points = np.array((theta,) * len(_POINTS), dtype=np.float64)  # one row per name
     first_point, row_bytes = points.ctypes.data, points.strides[0]
     columns = [
@@ -820,7 +856,7 @@ def tune_delta(
     binding: ParameterBinding,
     eps_target: float,
     config: AnnealConfig,
-    rng: np.random.Generator,
+    rng,
     lo: float = 1e-3,
     hi: float = 4.0,
     rounds: int = 20,
@@ -832,7 +868,9 @@ def tune_delta(
     rate), returning as soon as a probe lands in ``[0.4, 0.6]``.  If no probe
     ever does -- e.g. every move is accepted because ``beta_max`` is zero or
     the objective is flat -- the probe closest to 50% wins, earliest (and
-    therefore smallest) probe first.
+    therefore smallest) probe first.  Each probe's pilot seed is
+    ``rng.integers(0, 2**63 - 1)``: ``rng`` is a ``numpy.random.Generator`` or
+    anything else with that method, such as the ``_SeedStream`` drivers pass.
     """
     compiled = _validated(model, binding)
 

@@ -33,12 +33,11 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
 from . import __version__
 from .anneal import (
     AnnealConfig,
     InfeasibleError,
+    _SeedStream,
     anneal,
     chain_engine,
     find_feasible,
@@ -152,12 +151,14 @@ def run_config(
     """``config`` seeded with ``seed`` and, with ``auto_delta``, its width tuned.
 
     Returns the config and the tuned width (``None`` without ``auto_delta``);
-    the tuner's pilot seeds are drawn from ``seed`` too.
+    the tuner's pilot seeds are drawn from ``seed`` too, as
+    ``numpy.random.default_rng(seed)`` would draw them but without loading
+    ``numpy.random``.
     """
     config = replace(config, seed=seed)
     if not config.auto_delta:
         return config, None
-    tuned = tune_delta(model, binding, eps_target, config, np.random.default_rng(seed))
+    tuned = tune_delta(model, binding, eps_target, config, _SeedStream(seed))
     return replace(config, delta=tuned), tuned
 
 

@@ -536,7 +536,9 @@ class CompiledModel:
       constant multiplicities are stored already rounded.
 
     Per group ``k``, ``dirty[dirty_ptr[k]:dirty_ptr[k + 1]]`` are the nodes
-    bound to ``k`` and their ancestors, in descending index order.
+    bound to ``k`` and their ancestors, in descending index order, and
+    ``dirty_from``, aligned with ``dirty``, holds each one's first edge into
+    a child that is dirty for ``k`` (``kid_ptr[i + 1]`` if none is).
 
     :meth:`evaluate_columns` is one children-first pass over the table (and
     :attr:`leaf_groups`), vectorised over one column of tolerances per
@@ -578,6 +580,12 @@ class CompiledModel:
                     j = parent[j]
         nexp = [-float(m.exponent) for m in mults]
         dirty_lists = [sorted(nodes_of_k, reverse=True) for nodes_of_k in dirty]
+        dirty_from = []
+        for nodes_of_k in dirty_lists:
+            # the edge into node i is edge i - 1; visited in descending order,
+            # each parent keeps its smallest dirty child
+            first_edge = {parent[i]: i - 1 for i in nodes_of_k}
+            dirty_from += [first_edge.get(i, kid_ptr[i + 1]) for i in nodes_of_k]
 
         self.slot = np.array(slot, dtype=np.int64)
         self.needs_eps = np.array(
@@ -594,6 +602,7 @@ class CompiledModel:
         self.ceil = np.array([m.rounding is Rounding.CEIL for m in mults], dtype=np.int8)
         self.dirty_ptr = np.array([0, *itertools.accumulate(map(len, dirty_lists))], dtype=np.int64)
         self.dirty = np.array([i for nodes_of_k in dirty_lists for i in nodes_of_k], dtype=np.int64)
+        self.dirty_from = np.array(dirty_from, dtype=np.int64)
 
     @functools.cached_property
     def leaf_groups(self) -> list[tuple[int, list[int], np.ndarray]]:
@@ -699,7 +708,11 @@ class ChainEvaluator:
     ``count * max(0.0, gpl * log2(1.0 / eps) + offset)``, and a node's sums
     run left to right over its children from ``0.0``.  No BLAS call and no
     numpy ufunc is involved, so the totals do not depend on the machine's
-    vector kernels.
+    vector kernels.  Here every dirty node is summed in full and every
+    multiplicity takes its own power; the kernel keeps each edge's running
+    sums to restart a node's sum at its first dirty child (``dirty_from``)
+    and shares one ``pow`` among edges of equal exponent, which repeats
+    exactly these operations' results.
     """
 
     def __init__(self, compiled: CompiledModel) -> None:

@@ -64,7 +64,13 @@ class ModelFormatError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _require_keys(obj: dict, allowed, required, where: str) -> None:
+    """Reject the first unknown key of ``obj``, then the first missing one of ``required``.
+
+    ``allowed`` and ``required`` are sets or set views; missing keys are
+    looked up in ``required``'s iteration order, so made with :func:`_keys`
+    the error does not depend on the string hash seed.
+    """
     keys = obj.keys()
     if keys <= allowed and keys >= required:
         return
@@ -92,17 +98,27 @@ def _number(obj: dict, key: str, where: str, default: float | None = None) -> fl
         raise ModelFormatError(f"key {key!r} is out of the floating-point range", where) from None
 
 
+def _keys(*names: str):
+    """``names`` as a set view that iterates in the order given (a dict's keys)."""
+    return dict.fromkeys(names).keys()
+
+
 _ROUNDINGS = {rounding.value: rounding for rounding in Rounding}
 _MULTIPLICITY_KEYS = {"coefficient", "exponent", "rounding"}
 _LEAF_COST_KEYS = {"count", "gates_per_unit_logeps", "additive_offset"}
 _NODE_KEYS = {"name", "kind", "self_error_group", "children", "leaf_cost"}
-_CHILD_KEYS = {"multiplicity", "node"}
+_CHILD_KEYS = _keys("multiplicity", "node")
+_DOCUMENT_KEYS = _keys("root", "binding")
+_BINDING_KEYS = _keys("groups")
+_REQUIRED_MULTIPLICITY_KEYS = _keys("coefficient")
+_REQUIRED_LEAF_COST_KEYS = _keys("count", "gates_per_unit_logeps")
+_REQUIRED_NODE_KEYS = _keys("name", "kind")
 
 
 def _parse_multiplicity(obj: Any, where: str) -> Multiplicity:
     if not isinstance(obj, dict):
         raise ModelFormatError("multiplicity must be an object", where)
-    _require_keys(obj, _MULTIPLICITY_KEYS, {"coefficient"}, where)
+    _require_keys(obj, _MULTIPLICITY_KEYS, _REQUIRED_MULTIPLICITY_KEYS, where)
     rounding = obj.get("rounding", "continuous")
     if rounding not in ("continuous", "ceil"):
         raise ModelFormatError(f"unknown rounding {rounding!r}", where)
@@ -116,7 +132,7 @@ def _parse_multiplicity(obj: Any, where: str) -> Multiplicity:
 def _parse_leaf_cost(obj: Any, where: str) -> LeafCost:
     if not isinstance(obj, dict):
         raise ModelFormatError("leaf_cost must be an object", where)
-    _require_keys(obj, _LEAF_COST_KEYS, {"count", "gates_per_unit_logeps"}, where)
+    _require_keys(obj, _LEAF_COST_KEYS, _REQUIRED_LEAF_COST_KEYS, where)
     return LeafCost(
         count=_number(obj, "count", where),
         gates_per_unit_logeps=_number(obj, "gates_per_unit_logeps", where),
@@ -127,7 +143,7 @@ def _parse_leaf_cost(obj: Any, where: str) -> LeafCost:
 def _parse_node(obj: Any, where: str) -> BudgetNode:
     if not isinstance(obj, dict):
         raise ModelFormatError("node must be an object", where)
-    _require_keys(obj, _NODE_KEYS, {"name", "kind"}, where)
+    _require_keys(obj, _NODE_KEYS, _REQUIRED_NODE_KEYS, where)
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise ModelFormatError("node name must be a non-empty string", where)
@@ -168,7 +184,7 @@ def _parse_node(obj: Any, where: str) -> BudgetNode:
 def _parse_binding(obj: Any, where: str) -> ParameterBinding:
     if not isinstance(obj, dict):
         raise ModelFormatError("binding must be an object", where)
-    _require_keys(obj, {"groups"}, {"groups"}, where)
+    _require_keys(obj, _BINDING_KEYS, _BINDING_KEYS, where)
     groups = obj["groups"]
     if not isinstance(groups, dict):
         raise ModelFormatError("binding groups must be an object", f"{where}.groups")
@@ -185,7 +201,7 @@ def model_from_dict(document: Any) -> tuple[BudgetNode, ParameterBinding]:
     """Parse an already-decoded model document."""
     if not isinstance(document, dict):
         raise ModelFormatError("model document must be an object", "$")
-    _require_keys(document, {"root", "binding"}, {"root", "binding"}, "$")
+    _require_keys(document, _DOCUMENT_KEYS, _DOCUMENT_KEYS, "$")
     tree = _parse_node(document["root"], "$.root")
     binding = _parse_binding(document["binding"], "$.binding")
     return tree, binding

@@ -325,13 +325,13 @@ def build_hamiltonian(spec: IsingEvolutionSpec) -> np.ndarray:
     h = np.diag(diag).astype(complex)
     for i in range(spec.n):
         h -= spec.fields[i] * _embed_single_qubit(_SIGMA_X, i, spec.n)
-    if spectral_norm(h - h.conj().T) > 1e-12:
+    if np.max(np.abs(h - h.conj().T)) > 1e-12:
         raise AssemblyError("assembled Hamiltonian is not Hermitian")
     return h
 
 
 def _zz_layer(spec: IsingEvolutionSpec, tau: float) -> np.ndarray:
-    """Product of two-site zz rotations: ``exp(-i tau * (-sum J zz))``.
+    """Diagonal of the product of two-site zz rotations: ``exp(-i tau * (-sum J zz))``.
 
     Per-bond rotation angles are ``-2 tau J`` in the ``diag(e^{-i a/2},
     e^{i a/2})`` convention, realised directly on the diagonal.
@@ -341,15 +341,23 @@ def _zz_layer(spec: IsingEvolutionSpec, tau: float) -> np.ndarray:
     for i in range(spec.n):
         angle_z = -2.0 * tau * spec.couplings[i]
         phase += 0.5 * angle_z * spins[:, i] * spins[:, (i + 1) % spec.n]
-    return np.diag(np.exp(-1j * phase))
+    return np.exp(-1j * phase)
 
 
 def _x_layer(spec: IsingEvolutionSpec, tau: float) -> np.ndarray:
-    """Product of single-site x rotations: ``exp(-i tau * (-sum Gamma x))``."""
-    out = np.eye(2**spec.n, dtype=complex)
-    for i in range(spec.n):
-        angle_x = -2.0 * tau * spec.fields[i]
-        out = out @ _embed_single_qubit(rx(angle_x), i, spec.n)
+    """Product of single-site x rotations: ``exp(-i tau * (-sum Gamma x))``.
+
+    The sites act on separate qubits, so the product is the Kronecker product
+    of the site rotations, site 0 most significant.  Each factor is taken
+    with one outer product (``np.kron`` costs about 60 us per call on 2x2
+    gates); every entry is then the product of one entry per site, taken
+    site by site, which is what multiplying the embedded rotations computes.
+    """
+    out = rx(-2.0 * tau * spec.fields[0])
+    for field in spec.fields[1:]:
+        gate = rx(-2.0 * tau * field)
+        size = 2 * out.shape[0]
+        out = (out[:, None, :, None] * gate[None, :, None, :]).reshape(size, size)
     return out
 
 
@@ -362,11 +370,12 @@ def exact_propagator(spec: IsingEvolutionSpec) -> np.ndarray:
 
 def split_step_propagator(spec: IsingEvolutionSpec) -> np.ndarray:
     tau = spec.time / spec.steps
+    # the zz layer is diagonal: multiplying by it scales rows (or columns)
     if spec.order == "first":
-        step = _zz_layer(spec, tau) @ _x_layer(spec, tau)
+        step = _zz_layer(spec, tau)[:, None] * _x_layer(spec, tau)
     else:
         half = _x_layer(spec, tau / 2.0)
-        step = half @ _zz_layer(spec, tau) @ half
+        step = (half * _zz_layer(spec, tau)) @ half
     return np.linalg.matrix_power(step, spec.steps)
 
 

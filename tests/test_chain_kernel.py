@@ -109,6 +109,93 @@ def test_engines_agree_on_tfim_studies(kernel_engine, monkeypatch):
     assert repr(kernel) == repr(reference)
 
 
+EXPONENT_PATTERNS = ("repeated", "alternating", "mixed")
+
+
+def wide_tree(rng, fan_out, pattern):
+    """A root over a node of ``fan_out`` children, its binding and a start point.
+
+    The wide node's edge exponents come in runs of equal values
+    (``repeated``), alternate between two values (``alternating``) or are
+    drawn per edge (``mixed``); about half its edges are CEIL.  Its children
+    are leaves, zero-count ones among them, and one composite of three
+    leaves.  Leaf slots share 7 groups, so a group's dirty children are
+    spread across the node; the first and last child have groups of their
+    own.
+    """
+    if pattern == "repeated":
+        exponents = np.repeat([0.5, 1.0, 0.0, 0.5, 2.0], -(-fan_out // 5))[:fan_out]
+    elif pattern == "alternating":
+        exponents = np.resize([0.5, 1.0], fan_out)
+    else:
+        exponents = rng.choice([0.0, 0.5, 1.0, 2.0], fan_out)
+    groups = {"root": ["root"], "wide": ["wide"], "first": [], "last": []}
+    children = []
+    for j, exponent in enumerate(exponents.tolist()):
+        rounding = Rounding.CEIL if rng.random() < 0.5 else Rounding.CONTINUOUS
+        mult = Multiplicity(float(rng.integers(1, 6)), exponent, rounding)
+        group = "first" if j == 0 else "last" if j == fan_out - 1 else f"g{j % 7}"
+        if j == fan_out // 3:
+            kids = [(Multiplicity(2.0, 0.5), BudgetNode.leaf(f"sub{i}", f"sub{i}", LeafCost(
+                1.0, 3.0))) for i in range(3)]
+            child = BudgetNode.composite(f"node{j}", f"node{j}", kids)
+            groups.setdefault(group, []).extend([f"node{j}", "sub0", "sub1", "sub2"])
+        else:
+            count = int(rng.integers(0, 4))
+            child = BudgetNode.leaf(f"leaf{j}", f"leaf{j}" if count else None,
+                                    LeafCost(count, float(rng.uniform(0.5, 8.0)), 0.5))
+            if count:
+                groups.setdefault(group, []).append(f"leaf{j}")
+        children.append((mult, child))
+    wide = BudgetNode.composite("wide", "wide", children)
+    tree = BudgetNode.composite("root", "root", [(Multiplicity(3.0, 1.0), wide)])
+    binding = ParameterBinding.from_dict({name: slots for name, slots in groups.items() if slots})
+    theta = rng.uniform(0.05, 0.5, binding.dimension)
+    return tree, binding, theta
+
+
+@pytest.mark.parametrize("fan_out", [64, 99, 128])
+@pytest.mark.parametrize("pattern", EXPONENT_PATTERNS)
+def test_engines_agree_on_wide_nodes(fan_out, pattern, kernel_engine, monkeypatch):
+    rng = np.random.default_rng(fan_out * 10 + EXPONENT_PATTERNS.index(pattern))
+    tree, binding, theta = wide_tree(rng, fan_out, pattern)
+    compiled = compile_model(tree, binding)
+    assert any(compiled.ceil) and not all(compiled.ceil)
+    start_error = compiled.evaluate(theta)[1]
+    config = AnnealConfig(num_steps=1500, seed=fan_out, delta=1.0, beta_max=300.0)
+    for target in (0.5 * start_error, 3.0 * start_error):
+        kernel, reference = on_both_engines(
+            monkeypatch, lambda: anneal(compiled, binding, target, config, theta_init=theta,
+                                        max_steps=2500))
+        assert repr(kernel) == repr(reference)
+        if target < start_error:  # the chain rejects steps in both modes
+            trace = kernel.trace
+            assert {mode for mode, accepted in zip(trace.cost_mode, trace.accepted)
+                    if not accepted} == {False, True}
+    for target in (0.5 * start_error, 1e-6 * start_error):  # reached, and not
+        kernel, reference = on_both_engines(
+            monkeypatch, lambda: feasibility_outcome(compiled, binding, target, config,
+                                                     theta_init=theta))
+        assert repr(kernel) == repr(reference)
+
+
+def test_partial_sums_carry_across_slices(kernel_engine, monkeypatch):
+    # the running sums of a slice's last step are where the next slice starts
+    rng = np.random.default_rng(5)
+    tree, binding, theta = wide_tree(rng, 99, "repeated")
+    config = AnnealConfig(num_steps=1000, seed=2, delta=1.5, beta_max=100.0)
+    target = compile_model(tree, binding).evaluate(theta)[1] * 0.5
+
+    def run():
+        return (anneal(tree, binding, target, config, theta_init=theta, max_steps=1700),
+                feasibility_outcome(tree, binding, target, config, theta_init=theta))
+
+    whole = run()
+    monkeypatch.setattr(ANNEAL, "_SLICE_STEPS", 7)
+    kernel, reference = on_both_engines(monkeypatch, run)
+    assert repr(kernel) == repr(reference) == repr(whole)
+
+
 def overflow_chain(depth=40):
     """``depth`` nested ``10 eps^-8`` multiplicities: cost and error overflow to inf."""
     node = BudgetNode.leaf("gate", "leaf", LeafCost(1.0, 1.0))
@@ -168,12 +255,19 @@ def test_kernel_reads_compiled_arrays_of_the_declared_layout(
     n, edges = compiled.n_nodes, int(compiled.kid_ptr[-1])
     sizes = dict(slot=n, needs_eps=n, has_law=n, law=3 * n, kid_ptr=n + 1, kid=edges,
                  coeff=edges, nexp=edges, ceil=edges, dirty_ptr=compiled.dimension + 1,
-                 dirty=int(compiled.dirty_ptr[-1]))
+                 dirty=int(compiled.dirty_ptr[-1]), dirty_from=int(compiled.dirty_ptr[-1]))
     for name in fields:
         array = getattr(compiled, name)
         assert isinstance(array, np.ndarray), name
         assert array.dtype == declared[name], name
         assert array.flags.c_contiguous and array.size == sizes[name], name
+    # each dirty node's first edge into a child dirty for the same group
+    kid_ptr, ptr = compiled.kid_ptr.tolist(), compiled.dirty_ptr.tolist()
+    for k in range(compiled.dimension):
+        dirty = compiled.dirty[ptr[k]:ptr[k + 1]].tolist()
+        expected = [next((j for j in range(kid_ptr[i], kid_ptr[i + 1]) if j + 1 in dirty),
+                         kid_ptr[i + 1]) for i in dirty]
+        assert compiled.dirty_from[ptr[k]:ptr[k + 1]].tolist() == expected
     config = AnnealConfig(num_steps=200, restarts=2)
     kernel, reference = on_both_engines(
         monkeypatch, lambda: anneal(compiled, binding, 1.0, config)
@@ -400,6 +494,53 @@ def test_chains_leave_numpy_random_unimported(kernel_engine):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("high", [2**63 - 1, 2**40 + 7, 2**62 + 2**61 + 12345])
+def test_seed_stream_draws_as_default_rng_integers(high):
+    # the last bound rejects about a quarter of the 64-bit words drawn
+    words = []
+
+    class CountedStream(ANNEAL._SeedStream):
+        def _next64(self):
+            words.append(1)
+            return super()._next64()
+
+    draws = 0
+    for seed in [*range(300), 2**32, 2**63 - 2, 2**130 + 5]:
+        rng, stream = np.random.default_rng(seed), CountedStream(seed)
+        expected = [int(rng.integers(0, high)) for _ in range(8)]
+        assert [stream.integers(0, high) for _ in range(8)] == expected, seed
+        draws += 8
+    assert np.random.default_rng(7).integers(3, high) == ANNEAL._SeedStream(7).integers(3, high)
+    rejected = 1 - draws / len(words)  # the share of words drawn that were rejected
+    assert (0.2 < rejected < 0.3) if high == 2**62 + 2**61 + 12345 else rejected < 0.01
+
+
+@pytest.mark.parametrize("low, high", [(0, 2**32), (0, 2**63 + 1), (-1, 2**40), (5, 4)])
+def test_seed_stream_refuses_ranges_it_would_draw_differently(low, high):
+    with pytest.raises(ValueError, match="more than 2\\*\\*32 values"):
+        ANNEAL._SeedStream(1).integers(low, high)
+
+
+def test_tuned_runs_leave_numpy_random_unimported(kernel_engine, tmp_path):
+    # the tuner's pilot seeds come from the package's own PCG64 stream
+    model = tmp_path / "m6.json"
+    proc = run_python(
+        "import sys\n"
+        "from errorbudget.cli import main\n"
+        f"main(['model', 'tfim', '--n', '6', '--out', {str(model)!r}])\n"
+        f"main(['experiment', 'redundancy', '--out', {str(tmp_path / 'r.csv')!r}, '--n', '6',\n"
+        "      '--redundancies', '0,3', '--steps', '300', '--restarts', '2'])\n"
+        "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))\n"
+        f"main(['optimize', {str(model)!r}, '--epsilon', '0.1', '--steps', '300',\n"
+        "      '--tune-delta'])\n"
+        "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].startswith("wrote ") and lines[2] == "[]"
+    assert lines[-1] == "[]" and '"feasible": true' in proc.stdout
 
 
 def run_python(code: str, **env) -> subprocess.CompletedProcess:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from errorbudget.modelio import (
     save_model,
 )
 from errorbudget.tfim import PRESETS, ConfigurationError, TfimConfig, build_tfim_model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_round_trip_preserves_evaluation(tmp_path):
@@ -347,3 +353,32 @@ def test_document_that_is_not_an_object():
     with pytest.raises(ModelFormatError) as excinfo:
         model_from_dict([valid_document()])
     assert str(excinfo.value) == "$: model document must be an object"
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "3"])
+def test_missing_keys_are_named_in_a_fixed_order(hash_seed):
+    # string hashes, and so a set's order, change with PYTHONHASHSEED: under
+    # seed 1 a set of the two names iterates 'kind' first, under 3 'name'
+    code = (
+        "from errorbudget.modelio import ModelFormatError, model_from_dict\n"
+        "for document in ({'root': {}, 'binding': {'groups': {}}}, {},\n"
+        "                 {'root': {'name': 'r', 'kind': 'composite', 'children': [{}]},\n"
+        "                  'binding': {'groups': {}}},\n"
+        "                 {'root': {'name': 'g', 'kind': 'leaf', 'leaf_cost': {}},\n"
+        "                  'binding': {'groups': {}}}):\n"
+        "    try:\n"
+        "        model_from_dict(document)\n"
+        "    except ModelFormatError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "$.root: missing key 'name'",
+        "$: missing key 'root'",
+        "$.root.children[0]: missing key 'multiplicity'",
+        "$.root.leaf_cost: missing key 'count'",
+    ]

@@ -255,6 +255,32 @@ class TestStackedTrials:
         assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
+def embedded_x_layer(spec, tau):
+    """The x layer as a product of dense matrices, each site's ``rx`` embedded with ``np.kron``."""
+    out = np.eye(2**spec.n, dtype=complex)
+    for i, field in enumerate(spec.fields):
+        left, right = np.eye(2**i), np.eye(2 ** (spec.n - i - 1))
+        out = out @ np.kron(np.kron(left, NORMLAB.rx(-2.0 * tau * field)), right)
+    return out
+
+
+def embedded_split_step(spec):
+    """The split-step propagator with the zz layer as a dense diagonal matrix."""
+    tau = spec.time / spec.steps
+    index = np.arange(2**spec.n)
+    spins = 1.0 - 2.0 * ((index[:, None] >> np.arange(spec.n - 1, -1, -1)) & 1)
+    phase = np.zeros(2**spec.n)
+    for i in range(spec.n):
+        phase += 0.5 * (-2.0 * tau * spec.couplings[i]) * spins[:, i] * spins[:, (i + 1) % spec.n]
+    zz = np.diag(np.exp(-1j * phase))
+    if spec.order == "first":
+        step = zz @ embedded_x_layer(spec, tau)
+    else:
+        half = embedded_x_layer(spec, tau / 2.0)
+        step = half @ zz @ half
+    return np.linalg.matrix_power(step, spec.steps)
+
+
 class TestIsingEvolution:
     def test_hamiltonian_is_hermitian(self):
         spec = IsingEvolutionSpec(3, (1.0, 0.5, 0.25), (0.7, 0.1, 0.9), 1.0, 4)
@@ -299,6 +325,20 @@ class TestIsingEvolution:
         counts = [1, 2, 8, 33, 128]
         expected = [(m, trotter_error(replace(spec, steps=m))) for m in counts]
         assert repr(trotter_error_sweep(spec, counts)) == repr(expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("order", ["first", "second"])
+    @pytest.mark.parametrize("couplings, fields", [
+        ((1.0,), (1.0,)), ((0.4, 1.1, 0.7), (1.2, 0.3, 0.9)), ((1.3,), (0.0,)), ((0.0,), (0.8,)),
+    ], ids=["uniform", "varied", "no-field", "no-coupling"])
+    def test_layers_equal_products_of_embedded_gates(self, n, order, couplings, fields):
+        spec = IsingEvolutionSpec(
+            n, tuple(couplings[i % len(couplings)] for i in range(n)),
+            tuple(fields[i % len(fields)] for i in range(n)), 0.9, 3, order,
+        )
+        tau = spec.time / spec.steps
+        assert np.array_equal(NORMLAB._x_layer(spec, tau), embedded_x_layer(spec, tau))
+        assert np.array_equal(split_step_propagator(spec), embedded_split_step(spec))
 
     def test_spec_validation(self):
         with pytest.raises(MatrixDomainError):

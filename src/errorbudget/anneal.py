@@ -180,7 +180,7 @@ class AnnealConfig:
 
     @classmethod
     def from_json(cls, path) -> "AnnealConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:

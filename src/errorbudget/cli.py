@@ -167,7 +167,7 @@ def _cmd_verify_lemma1(args: argparse.Namespace) -> int:
     payload["seed"] = args.seed
     text = json.dumps(payload, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -196,7 +196,7 @@ def _cmd_verify_trotter(args: argparse.Namespace) -> int:
         }
     text = json.dumps(payload, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         print(text)

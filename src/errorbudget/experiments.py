@@ -338,7 +338,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         rows.append({column: values.get(column) for column in study.header})
 
     csv_path = Path(spec.out_path)
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(study.header)
         for row in rows:
@@ -361,5 +361,5 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     }
     metadata.update(extra)
     metadata_path = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    metadata_path.write_text(json.dumps(metadata, indent=2) + "\n")
+    metadata_path.write_text(json.dumps(metadata, indent=2) + "\n", encoding="utf-8")
     return ExperimentResult(csv_path, metadata_path, study.header, rows)

@@ -32,7 +32,7 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -65,7 +65,7 @@ class Rounding(Enum):
     CEIL = "ceil"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multiplicity:
     """Instance count of a child set, ``coefficient * eps**(-exponent)``.
 
@@ -96,7 +96,7 @@ class Multiplicity:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeafCost:
     """Cost/error law of a batch of ``count`` identical primitive gates.
 
@@ -129,7 +129,7 @@ class NodeKind(Enum):
     LEAF = "leaf"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChildEdge:
     """A child node together with the multiplicity of its invocation."""
 
@@ -137,7 +137,7 @@ class ChildEdge:
     node: "BudgetNode"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BudgetNode:
     """One subroutine set in the decomposition tree.
 
@@ -176,7 +176,7 @@ class BudgetNode:
             yield from edge.node.walk()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterBinding:
     """Partition of a tree's tolerance slots into named groups.
 
@@ -227,6 +227,27 @@ class ParameterBinding:
         out.insert(min(self.group_names.index(first), self.group_names.index(second)),
                    (merged_name, collected))
         return ParameterBinding(tuple(out))
+
+
+@functools.cache
+def _unchecked(cls):
+    """A function of ``cls``'s fields, in order, returning what ``cls(...)`` would.
+
+    For a caller that has checked every field (the model file parser).  It
+    skips ``__init__``, whose ``object.__setattr__`` per field makes a frozen
+    dataclass slow to build: it sets the fields of ``object.__new__(cls)``
+    through the slots' member descriptors instead, in generated code as
+    ``dataclasses`` writes ``__init__``, built on first use so that importing
+    the package does not compile it.  The tree classes define no
+    ``__post_init__``, so no check is skipped.  The instances have no
+    ``__dict__``; giving them one would cost a dict per object.
+    """
+    names = [field.name for field in fields(cls)]
+    scope = {"new": object.__new__, "cls": cls}
+    scope.update((f"set_{name}", cls.__dict__[name].__set__) for name in names)
+    body = "".join(f"\n    set_{name}(obj, {name})" for name in names)
+    exec(f"def build({', '.join(names)}):\n    obj = new(cls){body}\n    return obj", scope)
+    return scope["build"]
 
 
 @dataclass(frozen=True)

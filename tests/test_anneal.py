@@ -34,6 +34,7 @@ from errorbudget.model import (
     total_error,
 )
 from errorbudget.tfim import TfimConfig, build_tfim_model
+from test_chain_kernel import assert_same_repr
 from test_model import as_continuous, random_tree
 
 # the module, not the function the package namespace exports under this name
@@ -315,7 +316,7 @@ class TestAnneal:
         assert (result.best_cost, result.steps_to_feasible, result.acceptance_rate) == expected
         assert steps_to_feasible == expected[1]
         assert len(result.trace) == config.num_steps
-        assert repr(kernel) == repr(reference)
+        assert_same_repr(kernel, reference)
 
     # (0.1, 1e-3, 1e-6) has error 0.86 on the n=4 three-parameter model
     @pytest.mark.parametrize("run", [

@@ -1,11 +1,17 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from errorbudget.cli import main
 from errorbudget.model import total_error, validate_model
 from errorbudget.modelio import load_model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +139,33 @@ class TestOptimizeCommand:
             "parse error: $.root.children[0].node.children[0].node.leaf_cost: "
             "key 'count' is out of the floating-point range\n"
         )
+
+    def test_file_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        run_cli(capsys, "model", "tfim", "--n", "4", "--out", str(path))
+        text = path.read_bytes()
+        at = text.index(b"phase_estimation")
+        path.write_bytes(text[:at] + "é".encode("latin-1") + text[at:])  # a lone 0xE9
+        code, stdout, stderr = run_cli(capsys, "optimize", str(path), "--epsilon", "0.1")
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            f"parse error: {path}: not UTF-8 text: invalid continuation byte at byte offset {at}\n"
+        )
+
+    def test_document_nested_too_deeply_exits_1(self, tmp_path, capsys):
+        # 1,200 composites in a chain: about 3,600 nested JSON containers
+        leaf = ('{"name": "g", "kind": "leaf", "self_error_group": "b",'
+                ' "leaf_cost": {"count": 1, "gates_per_unit_logeps": 1}}')
+        composite = ('{"name": "c", "kind": "composite",'
+                     ' "children": [{"multiplicity": {"coefficient": 1}, "node": ')
+        path = tmp_path / "deep.json"
+        path.write_text('{"root": ' + composite * 1200 + leaf + "}]}" * 1200
+                        + ', "binding": {"groups": {"b": ["b"]}}}', encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "optimize", str(path), "--epsilon", "0.1")
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"parse error: {path}: nested too deeply to decode\n"
 
     def test_invalid_model_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -311,3 +344,33 @@ class TestVerifyCommands:
         assert code == 2
         assert stdout == ""
         assert named in stderr
+
+
+def test_text_files_name_their_encoding(tmp_path):
+    # under -X warn_default_encoding, opening a text file without an encoding
+    # warns, and -W error turns the warning into a failure
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from errorbudget import AnnealConfig, TfimConfig, build_tfim_model\n"
+        "from errorbudget import load_model, save_model\n"
+        "from errorbudget.cli import main\n"
+        "out = Path(sys.argv[1])\n"
+        "tree, binding = build_tfim_model(TfimConfig(n=4))\n"
+        "save_model(tree, binding, out / 'model.json')\n"
+        "assert load_model(out / 'model.json') == (tree, binding)\n"
+        "(out / 'anneal.json').write_text('{\"num_steps\": 300}', encoding='utf-8')\n"
+        "assert AnnealConfig.from_json(out / 'anneal.json').num_steps == 300\n"
+        "assert main(['experiment', 'cost-vs-eps', '--out', str(out / 'sweep.csv'),\n"
+        "             '--epsilon', '0.1', '--n', '4', '--steps', '300', '--restarts', '1']) == 0\n"
+        "assert main(['verify', 'lemma1', '--trials', '5',\n"
+        "             '--out', str(out / 'lemma.json')]) == 0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", code, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "anneal.json", "lemma.json", "model.json", "sweep.csv", "sweep.csv.meta.json"]

@@ -1,5 +1,7 @@
+import copy
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from errorbudget.model import (
     is_feasible,
     total_cost,
     total_error,
+    _unchecked,
     validate_model,
 )
 from errorbudget.tfim import TfimConfig, build_tfim_model
@@ -80,6 +83,57 @@ class TestForms:
         with pytest.raises(Exception):
             ToleranceVector((1e-40,))
         assert len(ToleranceVector((0.5, 0.1))) == 2
+
+
+def tree_objects():
+    """One instance of each tree class, as the public constructors build them."""
+    mult = Multiplicity(2.0, 0.5, Rounding.CEIL)
+    leaf = BudgetNode.leaf("gate", "b", LeafCost(3, 4.0, 0.5))
+    root = BudgetNode.composite("φ", "a", [(mult, leaf), (Multiplicity(1.0), leaf)])
+    binding = ParameterBinding.from_dict({"a": ["a"], "b": ["b"], "empty": []})
+    return [mult, leaf.leaf_cost, root.children[0], leaf, root, binding]
+
+
+class TestSlotContract:
+    """The five tree classes are frozen, slotted dataclasses."""
+
+    def test_instances_have_no_dict_and_stay_frozen(self):
+        for obj in tree_objects():
+            assert not hasattr(obj, "__dict__")
+            assert type(obj).__slots__ == tuple(field.name for field in fields(obj))
+            with pytest.raises(TypeError):
+                vars(obj)
+            name = fields(obj)[0].name
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+            # a name that is no field: the generated __setattr__ of a slotted
+            # frozen class raises TypeError on Python 3.11, and there is no
+            # __dict__ to take it either way
+            with pytest.raises((AttributeError, TypeError)):
+                obj.extra = 1
+            with pytest.raises(AttributeError):
+                object.__setattr__(obj, "extra", 1)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for obj in tree_objects():
+            for again in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert type(again) is type(obj)
+                assert again == obj and hash(again) == hash(obj) and repr(again) == repr(obj)
+
+    def test_unchecked_constructor_builds_what_the_classes_build(self):
+        for obj in tree_objects():
+            build = _unchecked(type(obj))
+            again = build(*(getattr(obj, field.name) for field in fields(obj)))
+            assert type(again) is type(obj)
+            assert again == obj and hash(again) == hash(obj) and repr(again) == repr(obj)
+            assert not hasattr(again, "__dict__")
+
+    def test_no_class_checks_fields_after_init(self):
+        # the unchecked constructor skips __init__, and with it any __post_init__
+        for cls in (Multiplicity, LeafCost, ChildEdge, BudgetNode, ParameterBinding):
+            assert not hasattr(cls, "__post_init__")
 
 
 class TestValidation:
